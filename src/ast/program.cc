@@ -14,7 +14,7 @@ bool Rule::IsFact(const TermTable& terms) const {
 
 void Program::AddRule(Atom head, std::vector<Literal> body) {
   auto record_arity = [this](const Atom& a) {
-    arity_.emplace(a.predicate, static_cast<std::uint32_t>(a.args.size()));
+    arity_.try_emplace(a.predicate, static_cast<std::uint32_t>(a.args.size()));
   };
   record_arity(head);
   for (const Literal& l : body) record_arity(l.atom);
@@ -47,7 +47,8 @@ std::set<SymbolId> Program::EdbPredicates() const {
 }
 
 std::string Program::AtomToString(const Atom& a) const {
-  std::string out = symbols_.Name(a.predicate);
+  std::string out;
+  AppendSymbol(out, symbols_.Name(a.predicate));
   if (!a.args.empty()) {
     out += '(';
     for (std::size_t i = 0; i < a.args.size(); ++i) {

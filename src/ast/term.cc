@@ -123,9 +123,37 @@ TermId TermTable::FindCompound(SymbolId functor,
   return Find(TermKind::kCompound, functor, args);
 }
 
+void AppendSymbol(std::string& out, std::string_view name) {
+  auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  auto ident = [&](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || digit(c) ||
+           c == '_';
+  };
+  bool bare;
+  if (!name.empty() && (name[0] == '-' || digit(name[0]))) {
+    bare = name.size() > 1 || name[0] != '-';
+    for (std::size_t i = 1; bare && i < name.size(); ++i) bare = digit(name[i]);
+  } else {
+    bare = !name.empty() && name[0] >= 'a' && name[0] <= 'z' && name != "not";
+    for (std::size_t i = 1; bare && i < name.size(); ++i) bare = ident(name[i]);
+  }
+  if (bare) {
+    out += name;
+  } else {
+    out += '\'';
+    out += name;
+    out += '\'';
+  }
+}
+
 std::string TermTable::ToString(TermId t, const Interner& symbols) const {
   const Node& n = nodes_[t];
-  std::string out = symbols.Name(n.symbol);
+  std::string out;
+  if (n.kind == TermKind::kVariable) {
+    out = symbols.Name(n.symbol);
+  } else {
+    AppendSymbol(out, symbols.Name(n.symbol));
+  }
   if (n.kind == TermKind::kCompound) {
     out += '(';
     auto as = args(t);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +12,12 @@
 #include "util/interner.h"
 
 namespace afp {
+
+/// Appends a constant, functor or predicate name in input syntax: bare
+/// when the parser reads it back as the same identifier or integer, else
+/// in single quotes ('A b', '__bot', 'not'), so rendered programs re-parse
+/// to themselves.
+void AppendSymbol(std::string& out, std::string_view name);
 
 /// Dense id of a hash-consed term within a TermTable.
 using TermId = std::uint32_t;
@@ -81,7 +88,8 @@ class TermTable {
   /// Probe/allocation counters of the flat index (zero under kNode).
   FlatIndexStats index_stats() const { return flat_.stats(); }
 
-  /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))".
+  /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))"; constant and
+  /// functor names are written as AppendSymbol writes them.
   std::string ToString(TermId t, const Interner& symbols) const;
 
   /// Applies the substitution `binding` (variable symbol -> term) to `t`.

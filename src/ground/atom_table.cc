@@ -91,7 +91,8 @@ void AtomTable::SetLayout(IndexLayout layout) {
 
 std::string AtomTable::ToString(AtomId a, const Interner& symbols,
                                 const TermTable& terms) const {
-  std::string out = symbols.Name(preds_[a]);
+  std::string out;
+  AppendSymbol(out, symbols.Name(preds_[a]));
   auto as = args(a);
   if (!as.empty()) {
     out += '(';

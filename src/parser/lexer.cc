@@ -1,113 +1,100 @@
 #include "parser/lexer.h"
 
-#include <cctype>
-
 namespace afp {
 
 namespace {
 
-bool IsIdentStart(char c) { return std::islower(static_cast<unsigned char>(c)); }
-bool IsVarStart(char c) {
-  return std::isupper(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+// The grammar is ASCII; any other byte is a lexical error.
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsWordChar(char c) { return IsLower(c) || IsUpper(c) || c == '_'; }
 
 }  // namespace
 
-StatusOr<std::vector<Token>> Lexer::Tokenize(std::string_view text) {
-  std::vector<Token> tokens;
-  int line = 1, column = 1;
-  std::size_t i = 0;
-
-  auto advance = [&](std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (text[i + k] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-    }
-    i += n;
-  };
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument("lex error at " + std::to_string(line) +
-                                   ":" + std::to_string(column) + ": " + msg);
-  };
-
-  while (i < text.size()) {
-    char c = text[i];
+Token Lexer::Next() {
+  if (!status_.ok()) return Token{TokenKind::kError, {}, pos_};
+  const std::size_t n = text_.size();
+  while (pos_ < n) {
+    const char c = text_[pos_];
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
-      continue;
+      ++pos_;
+    } else if (c == '%') {  // line comment
+      while (pos_ < n && text_[pos_] != '\n') ++pos_;
+    } else {
+      break;
     }
-    if (c == '%') {  // line comment
-      while (i < text.size() && text[i] != '\n') advance(1);
-      continue;
-    }
-    int tl = line, tc = column;
-    auto emit = [&](TokenKind kind, std::string tok_text, std::size_t len) {
-      tokens.push_back(Token{kind, std::move(tok_text), tl, tc});
-      advance(len);
-    };
-
-    if (c == '(') { emit(TokenKind::kLParen, "(", 1); continue; }
-    if (c == ')') { emit(TokenKind::kRParen, ")", 1); continue; }
-    if (c == ',') { emit(TokenKind::kComma, ",", 1); continue; }
-    if (c == '.') { emit(TokenKind::kDot, ".", 1); continue; }
-    if (c == ':' ) {
-      if (i + 1 < text.size() && text[i + 1] == '-') {
-        emit(TokenKind::kIf, ":-", 2);
-        continue;
-      }
-      return error("expected ':-'");
-    }
-    if (c == '\\') {
-      if (i + 1 < text.size() && text[i + 1] == '+') {
-        emit(TokenKind::kNot, "\\+", 2);
-        continue;
-      }
-      return error("expected '\\+'");
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t j = i + (c == '-' ? 1 : 0);
-      if (j >= text.size() || !std::isdigit(static_cast<unsigned char>(text[j]))) {
-        return error("expected digits after '-'");
-      }
-      while (j < text.size() && std::isdigit(static_cast<unsigned char>(text[j])))
-        ++j;
-      emit(TokenKind::kInteger, std::string(text.substr(i, j - i)), j - i);
-      continue;
-    }
-    if (c == '\'') {  // quoted constant
-      std::size_t j = i + 1;
-      while (j < text.size() && text[j] != '\'' && text[j] != '\n') ++j;
-      if (j >= text.size() || text[j] != '\'') {
-        return error("unterminated quoted atom");
-      }
-      emit(TokenKind::kIdent, std::string(text.substr(i + 1, j - i - 1)),
-           j - i + 1);
-      continue;
-    }
-    if (IsIdentStart(c) || IsVarStart(c)) {
-      std::size_t j = i + 1;
-      while (j < text.size() && IsIdentChar(text[j])) ++j;
-      std::string word(text.substr(i, j - i));
-      if (word == "not") {
-        emit(TokenKind::kNot, std::move(word), j - i);
-      } else if (IsIdentStart(c)) {
-        emit(TokenKind::kIdent, std::move(word), j - i);
-      } else {
-        emit(TokenKind::kVariable, std::move(word), j - i);
-      }
-      continue;
-    }
-    return error(std::string("unexpected character '") + c + "'");
   }
-  tokens.push_back(Token{TokenKind::kEof, "", line, column});
-  return tokens;
+  const std::size_t start = pos_;
+  if (start == n) return Token{TokenKind::kEof, {}, start};
+  auto emit = [&](TokenKind kind, std::size_t len) {
+    pos_ = start + len;
+    return Token{kind, text_.substr(start, len), start};
+  };
+
+  const char c = text_[start];
+  switch (c) {
+    case '(': return emit(TokenKind::kLParen, 1);
+    case ')': return emit(TokenKind::kRParen, 1);
+    case ',': return emit(TokenKind::kComma, 1);
+    case '.': return emit(TokenKind::kDot, 1);
+    case ':':
+      if (text_.substr(start, 2) == ":-") return emit(TokenKind::kIf, 2);
+      return Error(start, "expected ':-'");
+    case '\\':
+      if (text_.substr(start, 2) == "\\+") return emit(TokenKind::kNot, 2);
+      return Error(start, "expected '\\+'");
+    case '\'': {  // quoted constant
+      std::size_t j = start + 1;
+      while (j < n && text_[j] != '\'' && text_[j] != '\n') ++j;
+      if (j == n || text_[j] != '\'') {
+        return Error(start, "unterminated quoted atom");
+      }
+      pos_ = j + 1;
+      return Token{TokenKind::kIdent, text_.substr(start + 1, j - start - 1),
+                   start};
+    }
+  }
+  if (c == '-' || IsDigit(c)) {
+    std::size_t j = start + (c == '-' ? 1 : 0);
+    if (j == n || !IsDigit(text_[j])) {
+      return Error(start, "expected digits after '-'");
+    }
+    while (j < n && IsDigit(text_[j])) ++j;
+    return emit(TokenKind::kInteger, j - start);
+  }
+  if (IsWordChar(c)) {
+    std::size_t j = start + 1;
+    while (j < n && (IsWordChar(text_[j]) || IsDigit(text_[j]))) ++j;
+    Token tok = emit(IsLower(c) ? TokenKind::kIdent : TokenKind::kVariable,
+                     j - start);
+    if (tok.text == "not") tok.kind = TokenKind::kNot;
+    return tok;
+  }
+  return Error(start, std::string("unexpected character '") + c + "'");
+}
+
+const Status& Lexer::Drain() {
+  while (true) {
+    const TokenKind kind = Next().kind;
+    if (kind == TokenKind::kEof || kind == TokenKind::kError) return status_;
+  }
+}
+
+std::string Lexer::Position(std::size_t offset) const {
+  std::size_t line = 1, line_start = 0;
+  for (std::size_t i = 0; i < offset; ++i) {
+    if (text_[i] != '\n') continue;
+    ++line;
+    line_start = i + 1;
+  }
+  return std::to_string(line) + ":" + std::to_string(offset - line_start + 1);
+}
+
+Token Lexer::Error(std::size_t offset, const std::string& msg) {
+  status_ = Status::InvalidArgument("lex error at " + Position(offset) +
+                                    ": " + msg);
+  return Token{TokenKind::kError, {}, offset};
 }
 
 }  // namespace afp

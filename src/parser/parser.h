@@ -1,12 +1,24 @@
 #ifndef AFP_PARSER_PARSER_H_
 #define AFP_PARSER_PARSER_H_
 
+#include <cstdint>
 #include <string_view>
 
 #include "ast/program.h"
 #include "util/status.h"
 
 namespace afp {
+
+/// Deepest accepted term nesting (f(f(a)) nests 2 deep). Deeper terms are a
+/// kInvalidArgument parse error, raised before the parser recurses further;
+/// the bound keeps every recursive term walk downstream within its stack.
+inline constexpr std::uint32_t kMaxTermNesting = 2000;
+
+/// Reserved predicate name used to encode integrity constraints
+/// (":- body." becomes "__bot :- body, not __bot."). A program with a
+/// violated constraint has no stable model containing the body, and __bot
+/// surfaces as undefined in the well-founded model when the body can hold.
+inline constexpr char kConstraintAtomName[] = "__bot";
 
 /// Parses a normal logic program (Definition 3.1) in conventional syntax:
 ///
@@ -21,13 +33,9 @@ namespace afp {
 /// terms f(g(X),a) are allowed in argument positions.
 ///
 /// The returned program is validated (consistent arities and safety /
-/// range restriction). Errors carry line:column positions.
-/// Reserved predicate name used to encode integrity constraints
-/// (":- body." becomes "__bot :- body, not __bot."). A program with a
-/// violated constraint has no stable model containing the body, and __bot
-/// surfaces as undefined in the well-founded model when the body can hold.
-inline constexpr char kConstraintAtomName[] = "__bot";
-
+/// range restriction). Errors carry line:column positions. One pass over
+/// the pull Lexer interns straight into the Program, in first-occurrence
+/// order (a compound's functor after its arguments).
 class Parser {
  public:
   static StatusOr<Program> Parse(std::string_view text);
@@ -37,14 +45,12 @@ class Parser {
   /// Skips validation, so unsafe patterns are fine; used by the query API.
   static StatusOr<Program> ParseAtomPattern(std::string_view text);
 
-  /// Parses `text` appending its rules to `program`, interning symbols and
-  /// terms into the program's own tables, then re-validates the combined
-  /// program. On any error the rule list is rolled back to its prior length
-  /// and `program` is semantically unchanged (interned symbols/terms may
-  /// remain; they are inert). Returns the index of the first appended rule.
-  /// This is the session-mutation entry point (Solver::AddRule): the live
-  /// program's interner must be shared so new rules can refer to existing
-  /// constants and predicates by the same ids.
+  /// Parses `text` appending its rules to `program`, interning into the
+  /// program's own tables so new rules share its ids, then re-validates the
+  /// combined program. Returns the index of the first appended rule. On a
+  /// lexical error nothing is interned; on any other error the rule list is
+  /// rolled back (symbols/terms interned so far stay, inert). This is the
+  /// session-mutation entry point (Solver::AddRule).
   static StatusOr<std::size_t> ParseRulesInto(Program& program,
                                               std::string_view text);
 };

@@ -334,14 +334,19 @@ void ServingSolver::PublishLocked(const UpdateStats& up,
   {
     std::lock_guard<std::mutex> lk(mu_);
     snap->version = next_version_++;
-    published_seq_ += batch_ops;
-    snap->updates_applied = published_seq_;
+    snap->updates_applied = published_seq_ + batch_ops;
     ++stats_.snapshots_published;
   }
   SnapshotPtr published = std::move(snap);
   StoreSnapshot(published);
-  cv_flushed_.notify_all();
+  // The callback runs before Flush's waiters can see the new count, so
+  // Flush returns only after on_publish has seen the snapshot it awaited.
   if (opts_.on_publish) opts_.on_publish(published);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    published_seq_ = published->updates_applied;
+  }
+  cv_flushed_.notify_all();
 }
 
 void ServingSolver::Flush() {

@@ -76,8 +76,9 @@ struct ServingOptions {
   bool background = true;
   /// Test/observability hook, called on the publishing thread immediately
   /// after each snapshot becomes current (including version 0 and
-  /// RestoreState publications). Must be cheap and must not call back
-  /// into the writer API.
+  /// RestoreState publications). Flush() returns only after the callback
+  /// for the snapshot it waited on has returned. Must be cheap and must
+  /// not call back into the writer API.
   std::function<void(const SnapshotPtr&)> on_publish;
 };
 
@@ -264,7 +265,7 @@ class ServingSolver {
   std::condition_variable cv_flushed_;   // Flush: publication advanced
   std::vector<Op> pending_;
   std::uint64_t enqueued_seq_ = 0;   // ops ever accepted
-  std::uint64_t published_seq_ = 0;  // ops whose snapshot is current
+  std::uint64_t published_seq_ = 0;  // ops published, on_publish run
   std::uint64_t next_version_ = 0;
   ServingStats stats_;
   bool stop_ = false;

@@ -79,17 +79,14 @@ class FlatIndex {
   /// for which `eq(id)` holds, or kNotFound. Never allocates.
   template <typename Eq>
   std::uint32_t Find(std::uint64_t hash, Eq&& eq) const {
-    if (ids_.empty()) return kNotFound;
-    const std::size_t mask = ids_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(hash) & mask;
-    while (true) {
-      ++stats_.probes;
-      const std::uint32_t id = ids_[i];
-      if (id == kNotFound) return kNotFound;
-      if (hashes_[i] == hash && eq(id)) return id;
-      ++stats_.collisions;
-      i = (i + 1) & mask;
-    }
+    return Probe<true>(hash, eq);
+  }
+
+  /// As Find, but updates no counter: any number of threads may call it
+  /// on an index that no thread is mutating.
+  template <typename Eq>
+  std::uint32_t FindShared(std::uint64_t hash, Eq&& eq) const {
+    return Probe<false>(hash, eq);
   }
 
   /// Find, inserting `id` for the probe key when absent. Returns the
@@ -151,6 +148,21 @@ class FlatIndex {
 
   std::size_t NextCapacity() const {
     return ids_.empty() ? kMinCapacity : ids_.size() * 2;
+  }
+
+  template <bool kCount, typename Eq>
+  std::uint32_t Probe(std::uint64_t hash, Eq& eq) const {
+    if (ids_.empty()) return kNotFound;
+    const std::size_t mask = ids_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(hash) & mask;
+    while (true) {
+      if constexpr (kCount) ++stats_.probes;
+      const std::uint32_t id = ids_[i];
+      if (id == kNotFound) return kNotFound;
+      if (hashes_[i] == hash && eq(id)) return id;
+      if constexpr (kCount) ++stats_.collisions;
+      i = (i + 1) & mask;
+    }
   }
 
   /// Linear-probe placement without growth/size bookkeeping.

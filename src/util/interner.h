@@ -2,11 +2,12 @@
 #define AFP_UTIL_INTERNER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "util/flat_index.h"
+#include "util/span_hash.h"
 
 namespace afp {
 
@@ -16,24 +17,27 @@ using SymbolId = std::uint32_t;
 
 /// Bidirectional string <-> SymbolId map. Interning makes symbol comparison
 /// O(1) and lets terms/atoms store 4-byte ids instead of strings.
+///
+/// Each name is stored once, in names_; a FlatIndex of (hash, id) slots
+/// finds it by comparing the probe against names_ in place, so a lookup
+/// builds no key and allocates nothing.
 class Interner {
  public:
-  /// Returns the id for `name`, interning it if new. Lookups are
-  /// heterogeneous (no temporary std::string on the hot path).
+  /// Returns the id for `name`, interning it if new.
   SymbolId Intern(std::string_view name) {
-    auto it = ids_.find(name);
-    if (it != ids_.end()) return it->second;
-    SymbolId id = static_cast<SymbolId>(names_.size());
-    names_.emplace_back(name);
-    ids_.emplace(names_.back(), id);
+    const SymbolId fresh = static_cast<SymbolId>(names_.size());
+    const SymbolId id = index_.FindOrInsert(
+        HashBytes(name), fresh, [&](SymbolId r) { return names_[r] == name; });
+    if (id == fresh) names_.emplace_back(name);
     return id;
   }
 
-  /// Returns the id for `name` if interned, or npos otherwise.
-  static constexpr SymbolId npos = static_cast<SymbolId>(-1);
+  /// Returns the id for `name` if interned, or npos otherwise. Safe to call
+  /// from several threads while no thread interns.
+  static constexpr SymbolId npos = FlatIndex::kNotFound;
   SymbolId Find(std::string_view name) const {
-    auto it = ids_.find(name);
-    return it == ids_.end() ? npos : it->second;
+    return index_.FindShared(HashBytes(name),
+                             [&](SymbolId r) { return names_[r] == name; });
   }
 
   /// Returns the string for an id. Precondition: id < size().
@@ -42,16 +46,8 @@ class Interner {
   std::size_t size() const { return names_.size(); }
 
  private:
-  /// Transparent hash so find() accepts string_view without allocating.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId, StringHash, std::equal_to<>> ids_;
+  FlatIndex index_;
 };
 
 }  // namespace afp

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string_view>
 
 namespace afp {
 
@@ -50,6 +52,40 @@ inline std::uint64_t HashMixSpan(std::uint64_t h,
                                  std::span<const std::uint32_t> s) {
   for (std::uint32_t v : s) h = HashMixWord(h, v);
   return HashMixWord(h, s.size());
+}
+
+/// Finished hash of a byte string (interned names). Every byte is read
+/// through whole-word loads — the last word overlapping the previous one
+/// instead of a byte loop over the tail — since most names are shorter
+/// than one word.
+inline std::uint64_t HashBytes(std::string_view s) {
+  const char* p = s.data();
+  const std::size_t n = s.size();
+  auto load64 = [](const char* q) {
+    std::uint64_t w;
+    std::memcpy(&w, q, 8);
+    return w;
+  };
+  auto load32 = [](const char* q) {
+    std::uint32_t w;
+    std::memcpy(&w, q, 4);
+    return std::uint64_t{w};
+  };
+  std::uint64_t h = HashMixWord(kSpanHashSeed, n);
+  if (n >= 8) {
+    for (std::size_t i = 0; i + 8 < n; i += 8) {
+      h = HashMixWord(h, load64(p + i));
+    }
+    h = HashMixWord(h, load64(p + n - 8));
+  } else if (n >= 4) {
+    h = HashMixWord(h, load32(p) | load32(p + n - 4) << 32);
+  } else if (n > 0) {
+    auto byte = [&](std::size_t i) {
+      return std::uint64_t{static_cast<unsigned char>(p[i])};
+    };
+    h = HashMixWord(h, byte(0) | byte(n / 2) << 8 | byte(n - 1) << 16);
+  }
+  return HashAvalanche(h);
 }
 
 }  // namespace afp

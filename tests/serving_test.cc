@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -190,6 +191,28 @@ TEST(Serving, DestructorDrainsPendingUpdates) {
     // Destruction drains whatever is still queued before joining.
   }
   EXPECT_EQ(last_applied, 16u);
+}
+
+// Flush() returns only after on_publish has run for the snapshot it waited
+// for. The slow callback holds the writer inside the window where a Flush
+// woken on publication alone would return before the callback saw it.
+TEST(Serving, FlushReturnsAfterOnPublishSawTheTarget) {
+  std::atomic<std::uint64_t> seen{0};
+  ServingOptions o;
+  o.on_publish = [&](const SnapshotPtr& s) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    seen.store(s->updates_applied, std::memory_order_release);
+  };
+  auto srv = MustServe("p :- e. e. f.", o);
+  std::uint64_t target = 0;
+  for (int round = 0; round < 16; ++round) {
+    ASSERT_TRUE(srv->RetractFacts({"f"}).ok());
+    ASSERT_TRUE(srv->AssertFacts({"f"}).ok());
+    target += 2;
+    srv->Flush();
+    EXPECT_GE(seen.load(std::memory_order_acquire), target)
+        << "round " << round;
+  }
 }
 
 // The TSan-lane stress: concurrent readers + one writer stream. Every
