@@ -60,6 +60,9 @@ void Solver::RefreshGroundStats() {
   GroundStats g = ground_.grounding_stats();
   g.Absorb(ground_.atoms().index_stats());
   g.Absorb(program_->terms().index_stats());
+  if (delta_grounder_) {
+    g.join_candidates_visited += delta_grounder_->candidates_visited();
+  }
   g.atoms = ground_.num_atoms();
   g.rules = ground_.num_rules();
   g.peak_rss_bytes = PeakRssBytes();
@@ -370,7 +373,7 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     if (delta_grounder_) {
       delta_grounder_->NoteFactRemoved(rem.erased_rule, rem.moved_rule);
     }
-    retracted_ever_.push_back(id);
+    retracted_ever_.Insert(id);
     // The touched component's compiled bucket snapshots a rule set that
     // just changed. The moved rule's component needs nothing: buckets
     // snapshot rule content, not ids, and its content is untouched.
@@ -399,7 +402,7 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     // grounder exists, Init derives the head from the fact rule itself.
     if (delta_grounder_) {
       delta_grounder_->NoteFactAppended();
-      pending_asserted_.push_back(id);
+      pending_asserted_.Insert(id);
     }
     comp_rules_[comp_of[id]].push_back(
         static_cast<std::uint32_t>(ground_.num_rules() - 1));
@@ -473,25 +476,35 @@ Status Solver::PrepareRuleMutation(IncrementalGrounder::MutationDelta* delta) {
   if (!delta_grounder_) {
     delta_grounder_ = std::make_unique<IncrementalGrounder>(
         *program_, ground_, options_.ground);
-    AFP_RETURN_IF_ERROR(delta_grounder_->Init(retracted_ever_, delta));
+    AFP_RETURN_IF_ERROR(delta_grounder_->Init(retracted_ever_.ids(), delta));
   }
   if (!pending_asserted_.empty()) {
-    std::vector<AtomId> queued = std::move(pending_asserted_);
-    pending_asserted_.clear();
-    AFP_RETURN_IF_ERROR(delta_grounder_->SyncNewlyDerived(queued, delta));
+    const Status st =
+        delta_grounder_->SyncNewlyDerived(pending_asserted_.ids(), delta);
+    pending_asserted_.Clear();
+    AFP_RETURN_IF_ERROR(st);
   }
   return Status::Ok();
 }
 
 Status Solver::PoisonRuleMutation(Status st) {
+  // The discarded grounder's join work stays in the session's receipt.
+  if (delta_grounder_) {
+    ground_.grounding_stats_mutable().join_candidates_visited +=
+        delta_grounder_->candidates_visited();
+  }
   delta_grounder_.reset();
-  pending_asserted_.clear();  // a future Init derives them from gp facts
+  pending_asserted_.Clear();  // a future Init derives them from gp facts
   graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
   comp_rules_ = ComponentRuleBuckets(ground_.View(), *graph_);
   kernels_.reset();
   EnsureKernels();
   InvalidateModel();
   solved_ = false;
+  stats_.num_atoms = ground_.num_atoms();
+  stats_.num_rules = ground_.num_rules();
+  stats_.ground_size = ground_.TotalSize();
+  RefreshGroundStats();
   return st;
 }
 

@@ -395,6 +395,17 @@ class Solver {
   /// component_of() to compare against a from-scratch analysis.
   const AtomDependencyGraph* DependencyGraph() const { return graph_.get(); }
 
+  /// Testing hooks: the distinct heads of every fact retracted this
+  /// session, and of the facts asserted since the delta grounder last
+  /// folded them in (both in first-seen order). Each holds an atom at most
+  /// once however often its fact is toggled.
+  std::span<const AtomId> RetractedEver() const {
+    return retracted_ever_.ids();
+  }
+  std::span<const AtomId> PendingAsserted() const {
+    return pending_asserted_.ids();
+  }
+
   /// --- Introspection ------------------------------------------------
 
   const SolverStats& Stats() const { return stats_; }
@@ -487,15 +498,36 @@ class Solver {
   /// Delta re-grounder for AddRule/RemoveRule, created on the first rule
   /// op (null until then; fact-only sessions never pay for it).
   std::unique_ptr<IncrementalGrounder> delta_grounder_;
+  /// Distinct atom ids in first-insertion order: a per-atom bit plus the
+  /// id list, so a session toggling one fact forever holds one entry.
+  class AtomIdSet {
+   public:
+    void Insert(AtomId a) {
+      if (a >= in_.size()) in_.resize(a + 1, 0);
+      if (in_[a]) return;
+      in_[a] = 1;
+      ids_.push_back(a);
+    }
+    void Clear() {
+      for (AtomId a : ids_) in_[a] = 0;
+      ids_.clear();
+    }
+    bool empty() const { return ids_.empty(); }
+    std::span<const AtomId> ids() const { return ids_; }
+
+   private:
+    std::vector<std::uint8_t> in_;
+    std::vector<AtomId> ids_;
+  };
   /// Heads of every fact ever retracted this session: they supported
   /// instances that may still be in the program, so the delta grounder's
   /// (re-)initialization must count them as derived — a later re-assert
   /// must not re-instantiate rules that already exist. Never cleared
   /// (init can happen more than once after an error recovery).
-  std::vector<AtomId> retracted_ever_;
+  AtomIdSet retracted_ever_;
   /// Heads of facts asserted since the delta grounder initialized, not
   /// yet folded into its derived set (consumed by the next rule op).
-  std::vector<AtomId> pending_asserted_;
+  AtomIdSet pending_asserted_;
   /// Cached stable-model search engine (worker contexts + evaluator pairs
   /// stay warm across StableModels calls). Guarded by EnsureSearch's
   /// epoch/address staleness check; null until the first call.

@@ -85,9 +85,8 @@ FormulaPtr StandardizeApart(const FormulaPtr& f, Program& program,
 /// Substitutes `binding` for free variables throughout `f` (bound variables
 /// are untouched; callers must standardize apart first if capture is
 /// possible).
-FormulaPtr SubstituteFormula(
-    const FormulaPtr& f, Program& program,
-    const std::unordered_map<SymbolId, TermId>& binding);
+FormulaPtr SubstituteFormula(const FormulaPtr& f, Program& program,
+                             const TermBinding& binding);
 
 }  // namespace afp
 

@@ -236,7 +236,7 @@ class GeneralEvaluator {
         std::sort(head_vars.begin(), head_vars.end());
         head_vars.erase(std::unique(head_vars.begin(), head_vars.end()),
                         head_vars.end());
-        std::unordered_map<SymbolId, TermId> env;
+        TermBinding env;
         EnumerateRule(r, nnf_bodies_[ri], head_vars, 0, env, derived,
                       assumed_false, changed);
       }
@@ -245,9 +245,8 @@ class GeneralEvaluator {
 
   void EnumerateRule(const GeneralRule& r, const FormulaPtr& body,
                      const std::vector<SymbolId>& vars, std::size_t i,
-                     std::unordered_map<SymbolId, TermId>& env,
-                     Bitset& derived, const Bitset& assumed_false,
-                     bool& changed) {
+                     TermBinding& env, Bitset& derived,
+                     const Bitset& assumed_false, bool& changed) {
     if (i == vars.size()) {
       std::vector<TermId> args;
       args.reserve(r.head.args.size());
@@ -262,18 +261,19 @@ class GeneralEvaluator {
       }
       return;
     }
+    const std::size_t mark = env.size();
     for (TermId c : domain_) {
-      env[vars[i]] = c;
+      env.Bind(vars[i], c);
       EnumerateRule(r, body, vars, i + 1, env, derived, assumed_false,
                     changed);
+      env.Undo(mark);
     }
-    env.erase(vars[i]);
   }
 
   /// Definition 8.2: literals are looked up in (derived ⊎ ¬·assumed_false);
   /// connectives and quantifiers are evaluated classically over the domain.
-  bool Eval(const Formula& f, std::unordered_map<SymbolId, TermId>& env,
-            const Bitset& pos_set, const Bitset& neg_set) {
+  bool Eval(const Formula& f, TermBinding& env, const Bitset& pos_set,
+            const Bitset& neg_set) {
     switch (f.kind) {
       case FormulaKind::kTrue:
         return true;
@@ -324,41 +324,26 @@ class GeneralEvaluator {
     return false;
   }
 
+  /// Binds the i-th quantified variable to each domain constant in turn.
+  /// The binding shadows any outer binding of the same variable until it
+  /// is undone.
   bool QuantEval(const Formula& f, std::size_t i, bool exists,
-                 std::unordered_map<SymbolId, TermId>& env,
-                 const Bitset& pos_set, const Bitset& neg_set) {
+                 TermBinding& env, const Bitset& pos_set,
+                 const Bitset& neg_set) {
     if (i == f.quant_vars.size()) {
       return Eval(*f.children[0], env, pos_set, neg_set);
     }
-    SymbolId v = f.quant_vars[i];
-    TermId saved = kInvalidTerm;
-    auto it = env.find(v);
-    bool had = it != env.end();
-    if (had) saved = it->second;
+    const SymbolId v = f.quant_vars[i];
+    const std::size_t mark = env.size();
     for (TermId c : domain_) {
-      env[v] = c;
-      bool sub = QuantEval(f, i + 1, exists, env, pos_set, neg_set);
-      if (exists && sub) {
-        RestoreEnv(env, v, had, saved);
-        return true;
-      }
-      if (!exists && !sub) {
-        RestoreEnv(env, v, had, saved);
-        return false;
-      }
+      env.Bind(v, c);
+      const bool sub = QuantEval(f, i + 1, exists, env, pos_set, neg_set);
+      env.Undo(mark);
+      if (exists && sub) return true;
+      if (!exists && !sub) return false;
     }
-    RestoreEnv(env, v, had, saved);
     // Empty domains: ∃ over nothing is false; ∀ over nothing is true.
     return !exists;
-  }
-
-  static void RestoreEnv(std::unordered_map<SymbolId, TermId>& env,
-                         SymbolId v, bool had, TermId saved) {
-    if (had) {
-      env[v] = saved;
-    } else {
-      env.erase(v);
-    }
   }
 
   EvalContext& ctx_;

@@ -51,6 +51,13 @@ AtomId AtomTable::Intern(SymbolId pred, std::span<const TermId> args) {
   return id;
 }
 
+AtomId AtomTable::AppendUnique(SymbolId pred, std::span<const TermId> args) {
+  if (layout_ != IndexLayout::kFlat) return Intern(pred, args);
+  const AtomId id = Append(pred, args);
+  flat_.InsertUnique(HashAtom(pred, args), id);
+  return id;
+}
+
 AtomId AtomTable::Find(SymbolId pred, std::span<const TermId> args) const {
   if (layout_ == IndexLayout::kFlat) {
     const std::uint32_t got =

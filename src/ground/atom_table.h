@@ -45,6 +45,12 @@ class AtomTable {
   /// ground terms.
   AtomId Intern(SymbolId pred, std::span<const TermId> args);
 
+  /// Appends pred(args...), which the caller vouches is not interned yet,
+  /// without an equality probe (the batch grounder's assembly copies
+  /// distinct atoms). Under kFlat only the hash is computed and placed;
+  /// kNode interns as usual.
+  AtomId AppendUnique(SymbolId pred, std::span<const TermId> args);
+
   /// Returns the id if interned, kInvalidAtom otherwise.
   AtomId Find(SymbolId pred, std::span<const TermId> args) const;
 

@@ -33,6 +33,11 @@ struct GroundStats {
   std::uint64_t intern_allocs = 0;
   /// Bytes handed out by the grounder's candidate-index arena.
   std::size_t arena_bytes = 0;
+  /// Candidate atoms the grounders' joins tried to match (ground/
+  /// ground_match.h). Round cursors keep it near the number of derived
+  /// atoms times the join fan-in; a count growing with atoms squared means
+  /// a join is rescanning old rounds.
+  std::uint64_t join_candidates_visited = 0;
   /// Flat-index slot-array footprint across the live tables.
   std::size_t index_bytes = 0;
   /// Process peak RSS when the receipt was filled (0 where unavailable).

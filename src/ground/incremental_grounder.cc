@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <utility>
 
 namespace afp {
@@ -74,23 +73,19 @@ std::size_t NumPositive(const Rule& r) {
 StatusOr<AtomId> IncrementalGrounder::InternAtom(
     SymbolId pred, std::span<const TermId> args) {
   AtomId id = gp_.atoms().Intern(pred, args);
-  if (id >= derived_.size()) {
+  if (id >= core_.size()) {
     if (gp_.atoms().size() > opts_.max_atoms) {
       return Status::ResourceExhausted(
           "delta grounding exceeded max_atoms=" +
           std::to_string(opts_.max_atoms));
     }
-    derived_.push_back(0);
-    round_.push_back(0);
+    core_.Track(gp_.atoms().size());
   }
   return id;
 }
 
 void IncrementalGrounder::MarkDerived(AtomId id, std::uint32_t round) {
-  derived_[id] = 1;
-  round_[id] = round;
-  by_pred_[gp_.atoms().predicate(id)].push_back(id);
-  derived_log_.push_back(id);
+  core_.MarkDerived(id, gp_.atoms().predicate(id), round);
 }
 
 void IncrementalGrounder::RegisterSourceRules() {
@@ -118,8 +113,7 @@ Status IncrementalGrounder::Init(std::span<const AtomId> extra_derived,
   if (initialized_) return Status::Ok();
   delta->atoms_before = gp_.num_atoms();
 
-  derived_.assign(gp_.num_atoms(), 0);
-  round_.assign(gp_.num_atoms(), 0);
+  core_.Track(gp_.num_atoms());
   rule_sigs_.assign(gp_.num_rules(), nullptr);
   current_round_ = 0;
 
@@ -128,7 +122,7 @@ Status IncrementalGrounder::Init(std::span<const AtomId> extra_derived,
   // whose emitting-rule count the live-rule instantiation below recovers.
   for (std::uint32_t ri = 0; ri < gp_.num_rules(); ++ri) {
     const GroundRule& gr = gp_.rule(ri);
-    if (!derived_[gr.head]) MarkDerived(gr.head, 0);
+    if (!core_.derived(gr.head)) MarkDerived(gr.head, 0);
     if (gr.pos_len + gr.neg_len == 0) continue;  // fact
     auto p = gp_.pos(gr);
     auto n = gp_.neg(gr);
@@ -144,7 +138,7 @@ Status IncrementalGrounder::Init(std::span<const AtomId> extra_derived,
   // re-enumeration would miss those instances (and a later re-assert could
   // resurrect rules whose source was removed).
   for (AtomId a : extra_derived) {
-    if (a < derived_.size() && !derived_[a]) MarkDerived(a, 0);
+    if (a < core_.size() && !core_.derived(a)) MarkDerived(a, 0);
   }
 
   RegisterSourceRules();
@@ -153,20 +147,18 @@ Status IncrementalGrounder::Init(std::span<const AtomId> extra_derived,
   // Instantiate every live rule over the derived set. Existing instances
   // bump their provenance count; instances newly enabled by post-seal
   // asserts are spliced in (the deferred-extension contract).
-  const std::size_t log_before = derived_log_.size();
+  const std::size_t log_before = core_.derived_log().size();
   ++current_round_;
-  GroundBinding binding;
   for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
     if (!alive_[ri]) continue;
     const Rule& r = program_.rules()[ri];
     ++delta->rules_reground;
-    binding.clear();
     // Full join (delta_pos == num_pos puts every position under the
     // strictly-old filter): round + 1 makes "old" mean everything up to
     // and including the previous round, while heads derived by this very
     // join (marked at current_round_) stay invisible until the cascade.
-    AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), 0, current_round_ + 1,
-                             binding, /*emit_only=*/false, delta));
+    AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), current_round_ + 1,
+                             /*emit_only=*/false, delta));
   }
   AFP_RETURN_IF_ERROR(CascadeFrom(log_before, delta));
   delta->atoms_after = gp_.num_atoms();
@@ -179,18 +171,16 @@ Status IncrementalGrounder::AddSourceRules(std::size_t first_rule,
   assert(first_rule == alive_.size());
   delta->atoms_before = gp_.num_atoms();
   RegisterSourceRules();
-  const std::size_t log_before = derived_log_.size();
+  const std::size_t log_before = core_.derived_log().size();
   ++current_round_;
-  GroundBinding binding;
   for (std::size_t ri = first_rule; ri < alive_.size(); ++ri) {
     if (!alive_[ri]) continue;
     const Rule& r = program_.rules()[ri];
     ++delta->rules_reground;
-    binding.clear();
     // Full join over everything derived so far (see Init for the round
     // + 1 convention).
-    AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), 0, current_round_ + 1,
-                             binding, /*emit_only=*/false, delta));
+    AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), current_round_ + 1,
+                             /*emit_only=*/false, delta));
   }
   AFP_RETURN_IF_ERROR(CascadeFrom(log_before, delta));
   delta->atoms_after = gp_.num_atoms();
@@ -212,10 +202,9 @@ Status IncrementalGrounder::RemoveSourceRule(std::size_t rule_index,
   // decrement their provenance counts (emit_only: no derivation effects).
   ++current_round_;
   ++delta->rules_reground;
-  GroundBinding binding;
   // Full join (round + 1: every derived atom is visible; emit_only marks
   // nothing, so the enumeration is exactly the rule's emitted set).
-  AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), 0, current_round_ + 1, binding,
+  AFP_RETURN_IF_ERROR(Join(r, NumPositive(r), current_round_ + 1,
                            /*emit_only=*/true, delta));
   delta->atoms_after = gp_.num_atoms();
   return Status::Ok();
@@ -225,12 +214,12 @@ Status IncrementalGrounder::SyncNewlyDerived(std::span<const AtomId> atoms,
                                              MutationDelta* delta) {
   if (!initialized_) return Status::Ok();  // folded in at Init instead
   delta->atoms_before = gp_.num_atoms();
-  const std::size_t log_before = derived_log_.size();
+  const std::size_t log_before = core_.derived_log().size();
   ++current_round_;
   for (AtomId a : atoms) {
-    if (a < derived_.size() && !derived_[a]) MarkDerived(a, current_round_);
+    if (a < core_.size() && !core_.derived(a)) MarkDerived(a, current_round_);
   }
-  if (derived_log_.size() != log_before) {
+  if (core_.derived_log().size() != log_before) {
     AFP_RETURN_IF_ERROR(CascadeFrom(log_before, delta));
   }
   delta->atoms_after = gp_.num_atoms();
@@ -239,81 +228,40 @@ Status IncrementalGrounder::SyncNewlyDerived(std::span<const AtomId> atoms,
 
 Status IncrementalGrounder::CascadeFrom(std::size_t delta_begin,
                                         MutationDelta* delta) {
-  std::size_t delta_end = derived_log_.size();
-  GroundBinding binding;
+  std::size_t delta_end = core_.derived_log().size();
   while (delta_begin < delta_end) {
     ++current_round_;
-    std::set<SymbolId> delta_preds;
-    for (std::size_t i = delta_begin; i < delta_end; ++i) {
-      delta_preds.insert(gp_.atoms().predicate(derived_log_[i]));
-    }
-    for (SymbolId pred : delta_preds) {
+    for (SymbolId pred :
+         core_.DeltaPredicates(gp_.atoms(), delta_begin, delta_end)) {
       auto it = triggers_.find(pred);
       if (it == triggers_.end()) continue;
       for (const auto& [ri, dp] : it->second) {
         if (!alive_[ri]) continue;
         const Rule& r = program_.rules()[ri];
         ++delta->rules_reground;
-        binding.clear();
-        AFP_RETURN_IF_ERROR(Join(r, dp, 0, current_round_, binding,
-                                 /*emit_only=*/false, delta));
+        AFP_RETURN_IF_ERROR(
+            Join(r, dp, current_round_, /*emit_only=*/false, delta));
       }
     }
     delta_begin = delta_end;
-    delta_end = derived_log_.size();
+    delta_end = core_.derived_log().size();
   }
   return Status::Ok();
 }
 
 Status IncrementalGrounder::Join(const Rule& r, std::size_t delta_pos,
-                                 std::size_t pos_index, std::uint32_t round,
-                                 GroundBinding& binding, bool emit_only,
+                                 std::uint32_t round, bool emit_only,
                                  MutationDelta* delta) {
-  // Find the pos_index-th positive literal.
-  std::size_t seen = 0;
-  const Literal* lit = nullptr;
-  for (const Literal& l : r.body) {
-    if (!l.positive) continue;
-    if (seen == pos_index) {
-      lit = &l;
-      break;
-    }
-    ++seen;
-  }
-  if (lit == nullptr) return EmitInstance(r, binding, emit_only, delta);
-
-  RoundFilter filter = RoundFilter::kUpTo;
-  if (pos_index < delta_pos) {
-    filter = RoundFilter::kOld;
-  } else if (pos_index == delta_pos) {
-    filter = RoundFilter::kDelta;
-  }
-
-  auto it = by_pred_.find(lit->atom.predicate);
-  if (it == by_pred_.end()) return Status::Ok();
-  // Candidate lists are appended in derivation order, so they are sorted by
-  // round. Index-based iteration: EmitInstance may append to this vector
-  // (atoms derived this round), which the round filter then rejects.
-  const std::vector<AtomId>& candidates = it->second;
-  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-    AtomId cand = candidates[ci];
-    std::uint32_t cr = round_[cand];
-    if (cr > round - 1) break;  // derived this round; not visible yet
-    if (filter == RoundFilter::kOld && cr >= round - 1) break;
-    if (filter == RoundFilter::kDelta && cr != round - 1) continue;
-    std::vector<SymbolId> trail;
-    if (GroundMatchAtom(program_.terms(), gp_.atoms(), lit->atom.args, cand,
-                        binding, trail)) {
-      AFP_RETURN_IF_ERROR(
-          Join(r, delta_pos, pos_index + 1, round, binding, emit_only, delta));
-    }
-    for (SymbolId v : trail) binding.erase(v);
-  }
-  return Status::Ok();
+  return core_.Join(program_.terms(), gp_.atoms(), r, delta_pos, round,
+                    /*semi_naive=*/true,
+                    [&](const TermBinding& b, std::span<const AtomId> m) {
+                      return EmitInstance(r, b, m, emit_only, delta);
+                    });
 }
 
 Status IncrementalGrounder::BuildSig(const Rule& r,
-                                     const GroundBinding& binding,
+                                     const TermBinding& binding,
+                                     std::span<const AtomId> matched,
                                      GroundRuleSig& sig) {
   std::vector<TermId> args;
   args.reserve(r.head.args.size());
@@ -326,7 +274,11 @@ Status IncrementalGrounder::BuildSig(const Rule& r,
     args.push_back(g);
   }
   AFP_ASSIGN_OR_RETURN(sig.head, InternAtom(r.head.predicate, args));
+  // Positive literals are the atoms the join matched; only the negative
+  // ones are substituted and interned.
+  sig.pos.assign(matched.begin(), matched.end());
   for (const Literal& l : r.body) {
+    if (l.positive) continue;
     args.clear();
     args.reserve(l.atom.args.size());
     for (TermId t : l.atom.args) {
@@ -339,17 +291,18 @@ Status IncrementalGrounder::BuildSig(const Rule& r,
       args.push_back(g);
     }
     AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate, args));
-    (l.positive ? sig.pos : sig.neg).push_back(id);
+    sig.neg.push_back(id);
   }
   return Status::Ok();
 }
 
 Status IncrementalGrounder::EmitInstance(const Rule& r,
-                                         const GroundBinding& binding,
+                                         const TermBinding& binding,
+                                         std::span<const AtomId> matched,
                                          bool emit_only,
                                          MutationDelta* delta) {
   GroundRuleSig sig;
-  AFP_RETURN_IF_ERROR(BuildSig(r, binding, sig));
+  AFP_RETURN_IF_ERROR(BuildSig(r, binding, matched, sig));
 
   if (emit_only) {
     // Removal side: decrement provenance; drop the ground rule when its
@@ -396,7 +349,7 @@ Status IncrementalGrounder::EmitInstance(const Rule& r,
   rule_sigs_.push_back(&*it2);
   delta->added_rules.push_back(id);
   delta->added_heads.push_back(head);
-  if (!derived_[head]) MarkDerived(head, current_round_);
+  if (!core_.derived(head)) MarkDerived(head, current_round_);
   return Status::Ok();
 }
 

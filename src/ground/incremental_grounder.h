@@ -45,9 +45,10 @@ namespace afp {
 ///     op (SyncNewlyDerived) — the deferred-extension contract documented
 ///     in docs/API.md.
 ///
-/// The instantiation core (join order, semi-naive round filters, match and
-/// substitution machinery) is shared with the batch grounder via
-/// ground/ground_match.h, so both produce the same instances.
+/// The instantiation core (derivation state, round-cursored candidate
+/// lists, join order, semi-naive round filters, binding and matching) is
+/// the batch grounder's JoinCore (ground/ground_match.h), so both produce
+/// the same instances.
 class IncrementalGrounder {
  public:
   static constexpr std::uint32_t kNoSourceRule =
@@ -99,9 +100,15 @@ class IncrementalGrounder {
   /// false (the Solver enforces this before constructing one).
   IncrementalGrounder(Program& program, GroundProgram& gp,
                       const GroundOptions& opts)
-      : program_(program), gp_(gp), opts_(opts) {}
+      : program_(program), gp_(gp), opts_(opts), core_(opts.layout) {}
 
   bool initialized() const { return initialized_; }
+
+  /// Candidate atoms this grounder's joins have tried to match (see
+  /// GroundStats::join_candidates_visited), errors included.
+  std::uint64_t candidates_visited() const {
+    return core_.candidates_visited();
+  }
 
   /// Builds the derived set, per-predicate candidate lists and instance
   /// provenance counts from the current ground program; `extra_derived`
@@ -145,27 +152,25 @@ class IncrementalGrounder {
   void NoteFactRemoved(std::uint32_t erased_rule, std::uint32_t moved_rule);
 
  private:
-  enum class RoundFilter { kOld, kDelta, kUpTo };
-
   StatusOr<AtomId> InternAtom(SymbolId pred, std::span<const TermId> args);
   void MarkDerived(AtomId id, std::uint32_t round);
   /// Syncs alive_/triggers_ with program_.rules() (appends only).
   void RegisterSourceRules();
 
-  /// Left-to-right join of the positive body of rule `ri`, with the
-  /// `delta_pos`-th positive literal restricted to the previous round's
+  /// Semi-naive join of rule `r`'s positive body (JoinCore::Join), with
+  /// the `delta_pos`-th positive literal restricted to the previous round's
   /// delta (delta_pos == num_pos means no delta constraint — full join).
   /// `emit_only` suppresses derivation-side effects (rule removal).
-  Status Join(const Rule& r, std::size_t delta_pos, std::size_t pos_index,
-              std::uint32_t round, GroundBinding& binding, bool emit_only,
-              MutationDelta* delta);
-  Status EmitInstance(const Rule& r, const GroundBinding& binding,
-                      bool emit_only, MutationDelta* delta);
-  Status BuildSig(const Rule& r, const GroundBinding& binding,
-                  GroundRuleSig& sig);
+  Status Join(const Rule& r, std::size_t delta_pos, std::uint32_t round,
+              bool emit_only, MutationDelta* delta);
+  Status EmitInstance(const Rule& r, const TermBinding& binding,
+                      std::span<const AtomId> matched, bool emit_only,
+                      MutationDelta* delta);
+  Status BuildSig(const Rule& r, const TermBinding& binding,
+                  std::span<const AtomId> matched, GroundRuleSig& sig);
 
   /// Runs semi-naive cascade rounds until no new atoms are derived; the
-  /// first round's delta is derived_log_[delta_begin..].
+  /// first round's delta is core_.derived_log()[delta_begin..].
   Status CascadeFrom(std::size_t delta_begin, MutationDelta* delta);
 
   Program& program_;
@@ -182,11 +187,8 @@ class IncrementalGrounder {
                                                      std::uint32_t>>>
       triggers_;
 
-  /// Derivation state, indexed by gp atom id.
-  std::vector<std::uint8_t> derived_;
-  std::vector<std::uint32_t> round_;
-  std::vector<AtomId> derived_log_;  // derivation order, grouped by round
-  std::unordered_map<SymbolId, std::vector<AtomId>> by_pred_;
+  /// Derivation state over gp atom ids, candidate lists and the join.
+  JoinCore core_;
   std::uint32_t current_round_ = 0;
 
   /// Instance provenance: signature -> live-source-rule count. The mapped

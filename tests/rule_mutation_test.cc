@@ -528,5 +528,51 @@ TEST(RuleMutationTest, IntraComponentRemovalRebuildsAnalysis) {
   ExpectFreshSccAgrees(s, o, "IntraComponentRemoval");
 }
 
+TEST(RuleMutationTest, FactTogglesKeepSessionBookkeepingDistinct) {
+  // The retract history and the deferred-assert queue hold each atom once:
+  // a session toggling one fact 10k times keeps one entry in each, and the
+  // next rule op still lands on the model a fresh session computes.
+  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
+                                   CompileMode::kOff, 1);
+  Solver s = MustSolver("f(a). f(b). p(X) :- f(X), not q(X).", o);
+  s.Solve();
+  ASSERT_TRUE(s.AddRule("r(X) :- p(X).").ok());  // starts the delta grounder
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(s.RetractFacts({"f(a)"}).ok());
+    ASSERT_TRUE(s.AssertFacts({"f(a)"}).ok());
+  }
+  const AtomId fa = *ResolveAtom(s.ground(), "f(a)");
+  ASSERT_EQ(s.RetractedEver().size(), 1u);
+  EXPECT_EQ(s.RetractedEver()[0], fa);
+  ASSERT_EQ(s.PendingAsserted().size(), 1u);
+  EXPECT_EQ(s.PendingAsserted()[0], fa);
+
+  auto r = s.AddRule("t(X) :- f(X).");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(s.PendingAsserted().empty());
+  EXPECT_EQ(s.RetractedEver().size(), 1u);
+  ExpectFreshSccAgrees(s, o, "FactToggles");
+  ExpectFreshTextAgrees(
+      s, "f(a). f(b). p(X) :- f(X), not q(X). r(X) :- p(X). t(X) :- f(X).",
+      o, "FactToggles");
+}
+
+TEST(RuleMutationTest, DeltaChainGroundsWithJoinVisitsLinearInAtoms) {
+  // The delta grounder shares the batch grounder's round cursors: the
+  // cascade of n(s(X)) :- n(X) scans one delta atom per round, so hitting
+  // the 50k-atom bound costs ~50k candidate visits, not ~50k^2 / 2.
+  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
+                                   CompileMode::kOff, 1);
+  o.ground.max_atoms = 50000;
+  Solver s = MustSolver("n(z).", o);
+  s.Solve();
+  auto r = s.AddRule("n(s(X)) :- n(X).");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  const std::uint64_t visits = s.Stats().ground.join_candidates_visited;
+  EXPECT_GE(visits, o.ground.max_atoms - 1);
+  EXPECT_LE(visits, 2 * o.ground.max_atoms);
+}
+
 }  // namespace
 }  // namespace afp

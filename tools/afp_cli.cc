@@ -67,6 +67,7 @@
 //   --json                             print the model as JSON
 //   --max-models=N                     cap stable-model enumeration
 //   --ground                           print the ground program and exit
+//                                      (then the --stats lines, if given)
 //   --stats                            print sizes and iteration counts
 //
 // Exit status: 0 on success, 1 on input errors.
@@ -426,10 +427,7 @@ int main(int argc, char** argv) {
   afp::Solver& solver = *session;
   const afp::GroundProgram& gp = solver.ground();
 
-  if (opts.ground_only) {
-    std::cout << gp.ToString();
-    return 0;
-  }
+  if (opts.ground_only) std::cout << gp.ToString();
   if (opts.stats) {
     std::cout << "% atoms: " << gp.num_atoms()
               << "  rules: " << gp.num_rules()
@@ -437,12 +435,14 @@ int main(int argc, char** argv) {
     const afp::GroundStats& g = solver.Stats().ground;
     std::cout << "% layout: " << afp::IndexLayoutName(gp.layout())
               << "  intern probes: " << g.intern_probes
+              << "  join candidates visited: " << g.join_candidates_visited
               << "  intern collisions: " << g.intern_collisions
               << "  intern grow allocs: " << g.intern_allocs << "\n";
     std::cout << "% arena bytes: " << g.arena_bytes
               << "  index bytes: " << g.index_bytes
               << "  peak rss bytes: " << g.peak_rss_bytes << "\n";
   }
+  if (opts.ground_only) return 0;
   if (!opts.mutations.empty() && opts.semantics != "wfs") {
     std::cerr << "afp: note: --assert/--retract/--add-rule/--remove-rule "
                  "apply only to --semantics=wfs\n";
