@@ -132,12 +132,10 @@ struct SolverStats {
   /// per-worker work sharing, whether the root was seeded from the cached
   /// model, and whether the run completed (see StableSearchStats).
   StableSearchStats search;
-  /// Memory-layout receipt of the grounding pipeline: the grounding-time
-  /// scratch counters recorded by the grounder, plus the live atom/term
-  /// table index counters (which keep accumulating as queries and
-  /// mutations intern), plus current peak RSS. Probe/collision/alloc
-  /// counters are zero under GroundOptions::layout == kNode (std
-  /// containers expose none). Refreshed with the rest of the stats.
+  /// Memory receipt of the grounding pipeline: the grounding-time scratch
+  /// counters recorded by the grounder, plus the live atom/term table
+  /// index counters (which keep accumulating as queries and mutations
+  /// intern), plus current peak RSS. Refreshed with the rest of the stats.
   GroundStats ground;
 };
 

@@ -5,7 +5,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/flat_index.h"
@@ -70,23 +69,12 @@ class TermBinding {
 /// machinery backing it.
 ///
 /// Interning is indexed by a FlatIndex probing the node/argument pools in
-/// place (IndexLayout::kFlat, the default): Make*/Find* hash the candidate
-/// (kind, symbol, args) directly from the caller's span and compare against
-/// resident terms through nodes_/args_, so a compound lookup materializes
-/// no key and performs no steady-state allocation. IndexLayout::kNode keeps
-/// the historical std::unordered_map<Key{vector}> index as the ablation
-/// baseline of the grounding `layout` bench axis.
+/// place: Make*/Find* hash the candidate (kind, symbol, args) directly from
+/// the caller's span and compare against resident terms through
+/// nodes_/args_, so a compound lookup materializes no key and performs no
+/// steady-state allocation.
 class TermTable {
  public:
-  explicit TermTable(IndexLayout layout = IndexLayout::kFlat)
-      : layout_(layout) {}
-
-  /// Switches the index implementation, rebuilding the index over the
-  /// already interned terms (ids are unaffected — they are positional).
-  /// Grounding applies GroundOptions::layout to the program's table here.
-  void SetLayout(IndexLayout layout);
-  IndexLayout layout() const { return layout_; }
-
   /// Returns the (unique) constant term with the given symbol.
   TermId MakeConstant(SymbolId symbol);
   /// Returns the (unique) variable term with the given symbol.
@@ -116,7 +104,7 @@ class TermTable {
 
   std::size_t size() const { return nodes_.size(); }
 
-  /// Probe/allocation counters of the flat index (zero under kNode).
+  /// Probe/allocation counters of the flat index.
   FlatIndexStats index_stats() const { return flat_.stats(); }
 
   /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))"; constant and
@@ -169,21 +157,6 @@ class TermTable {
     std::uint32_t args_len;
   };
 
-  /// kNode index key: an owning copy of the term structure (one heap
-  /// allocation per interned term, plus one per compound lookup). Kept
-  /// verbatim as the layout-axis baseline.
-  struct Key {
-    TermKind kind;
-    SymbolId symbol;
-    std::vector<TermId> args;
-    bool operator==(const Key& o) const {
-      return kind == o.kind && symbol == o.symbol && args == o.args;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-
   static std::uint64_t HashTerm(TermKind kind, SymbolId symbol,
                                 std::span<const TermId> args);
   /// True iff resident term `id` is (kind, symbol, args).
@@ -200,11 +173,9 @@ class TermTable {
   bool MatchCompound(TermId pattern, TermId ground,
                      TermBinding& binding) const;
 
-  IndexLayout layout_ = IndexLayout::kFlat;
   std::vector<Node> nodes_;
   std::vector<TermId> args_;
-  FlatIndex flat_;                                 // kFlat
-  std::unordered_map<Key, TermId, KeyHash> node_;  // kNode
+  FlatIndex flat_;
   /// Argument stack of SubstituteCompound: each nesting level pushes its
   /// rebuilt arguments, interns them, and pops back to where it began.
   std::vector<TermId> subst_stack_;

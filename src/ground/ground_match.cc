@@ -10,31 +10,23 @@ void JoinCore::MarkDerived(AtomId a, SymbolId pred, std::uint32_t round) {
   derived_[a] = 1;
   derived_log_.push_back(a);
 
-  PredList* pl;
-  Cursor at;
-  if (layout_ == IndexLayout::kFlat) {
-    if (pred >= flat_lists_.size()) flat_lists_.resize(pred + 1);
-    pl = &flat_lists_[pred];
-    if (pl->tail == nullptr || pl->tail->count == pl->tail->cap) {
-      const std::uint32_t cap =
-          pl->tail == nullptr ? 8u : std::min(pl->tail->cap * 2u, 4096u);
-      void* mem = arena_.Allocate(sizeof(CandChunk) + cap * sizeof(AtomId),
-                                  alignof(CandChunk));
-      CandChunk* c = new (mem) CandChunk{nullptr, 0, cap};
-      if (pl->tail == nullptr) {
-        pl->head = c;
-      } else {
-        pl->tail->next = c;
-      }
-      pl->tail = c;
+  if (pred >= lists_.size()) lists_.resize(pred + 1);
+  PredList* pl = &lists_[pred];
+  if (pl->tail == nullptr || pl->tail->count == pl->tail->cap) {
+    const std::uint32_t cap =
+        pl->tail == nullptr ? 8u : std::min(pl->tail->cap * 2u, 4096u);
+    void* mem = arena_.Allocate(sizeof(CandChunk) + cap * sizeof(AtomId),
+                                alignof(CandChunk));
+    CandChunk* c = new (mem) CandChunk{nullptr, 0, cap};
+    if (pl->tail == nullptr) {
+      pl->head = c;
+    } else {
+      pl->tail->next = c;
     }
-    at = Cursor{pl->count, pl->tail, pl->tail->count};
-    pl->tail->items()[pl->tail->count++] = a;
-  } else {
-    pl = &node_lists_[pred];
-    at = Cursor{pl->count, nullptr, 0};
-    pl->atoms.push_back(a);
+    pl->tail = c;
   }
+  const Cursor at{pl->count, pl->tail, pl->tail->count};
+  pl->tail->items()[pl->tail->count++] = a;
   assert(pl->starts.empty() || pl->starts.back().round <= round);
   if (pl->starts.empty() || pl->starts.back().round != round) {
     pl->starts.push_back({round, at});
@@ -55,14 +47,6 @@ std::span<const SymbolId> JoinCore::DeltaPredicates(const AtomTable& atoms,
   return delta_preds_;
 }
 
-const JoinCore::PredList* JoinCore::FindList(SymbolId pred) const {
-  if (layout_ == IndexLayout::kFlat) {
-    return pred < flat_lists_.size() ? &flat_lists_[pred] : nullptr;
-  }
-  auto it = node_lists_.find(pred);
-  return it == node_lists_.end() ? nullptr : &it->second;
-}
-
 JoinCore::Cursor JoinCore::StartOf(const PredList& pl, std::uint32_t round) {
   // Scanned from the back: a join asks for the last two rounds at most,
   // so this stops after an entry or two whatever the list's history.
@@ -75,9 +59,8 @@ JoinCore::Cursor JoinCore::StartOf(const PredList& pl, std::uint32_t round) {
 JoinCore::Range JoinCore::RangeOf(SymbolId pred, RoundFilter filter,
                                   std::uint32_t round) const {
   Range out;
-  const PredList* pl = FindList(pred);
-  if (pl == nullptr || pl->count == 0) return out;
-  if (layout_ == IndexLayout::kNode) out.node_atoms = &pl->atoms;
+  if (pred >= lists_.size() || lists_[pred].count == 0) return out;
+  const PredList* pl = &lists_[pred];
   const Cursor front{0, pl->head, 0};
   switch (filter) {
     case RoundFilter::kOld:

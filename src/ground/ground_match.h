@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/program.h"
@@ -42,11 +41,6 @@ namespace afp {
 /// scratch stacks have warmed.
 class JoinCore {
  public:
-  /// `layout` selects the candidate-list storage: kFlat keeps arena-backed
-  /// chunk lists indexed densely by predicate; kNode keeps the node-based
-  /// std::unordered_map of std::vector baseline.
-  explicit JoinCore(IndexLayout layout) : layout_(layout) {}
-
   // --- derivation state ---
 
   /// Number of tracked atoms (ids [0, size())).
@@ -91,7 +85,7 @@ class JoinCore {
   /// Candidate atoms the joins tried to match so far — the join's work
   /// counter, linear in the atoms derived when round cursors do their job.
   std::uint64_t candidates_visited() const { return visited_; }
-  /// Bytes handed out by the kFlat candidate-list arena.
+  /// Bytes handed out by the candidate-list arena.
   std::size_t arena_bytes() const { return arena_.total_allocated(); }
 
  private:
@@ -102,7 +96,7 @@ class JoinCore {
   ///   kUpTo  — every round up to round - 1.
   enum class RoundFilter : std::uint8_t { kOld, kDelta, kUpTo };
 
-  /// One growable arena-backed segment of a kFlat candidate list. Chunks
+  /// One growable arena-backed segment of a candidate list. Chunks
   /// never move once allocated, so a join may keep walking a list while
   /// emission appends to it.
   struct CandChunk {
@@ -114,8 +108,8 @@ class JoinCore {
       return reinterpret_cast<const AtomId*>(this + 1);
     }
   };
-  /// A position in a candidate list: its offset, and under kFlat the chunk
-  /// and in-chunk index holding that offset.
+  /// A position in a candidate list: its offset, and the chunk and
+  /// in-chunk index holding that offset.
   struct Cursor {
     std::uint32_t offset = 0;
     const CandChunk* chunk = nullptr;
@@ -126,20 +120,19 @@ class JoinCore {
     std::uint32_t round;
     Cursor at;
   };
+  /// A predicate's candidate list: arena chunks indexed densely by
+  /// predicate symbol.
   struct PredList {
-    CandChunk* head = nullptr;  // kFlat
-    CandChunk* tail = nullptr;  // kFlat
-    std::vector<AtomId> atoms;  // kNode
+    CandChunk* head = nullptr;
+    CandChunk* tail = nullptr;
     std::uint32_t count = 0;
     std::vector<RoundStart> starts;
   };
   /// The candidates one join position may scan: offsets [from.offset, end)
-  /// of one list. `node_atoms` is the kNode vector (node-stable, so valid
-  /// while emission appends); kFlat walks the chunks from `from`.
+  /// of one list, walked through the chunks from `from`.
   struct Range {
     Cursor from;
     std::uint32_t end = 0;
-    const std::vector<AtomId>* node_atoms = nullptr;
   };
   struct Frame {
     const TermTable& terms;
@@ -149,7 +142,6 @@ class JoinCore {
     bool semi_naive;
   };
 
-  const PredList* FindList(SymbolId pred) const;
   /// The first position holding an atom of a round >= `round`.
   static Cursor StartOf(const PredList& pl, std::uint32_t round);
   Range RangeOf(SymbolId pred, RoundFilter filter, std::uint32_t round) const;
@@ -167,11 +159,9 @@ class JoinCore {
   template <typename Emit>
   Status JoinAt(const Frame& f, std::size_t pos_index, Emit& emit);
 
-  IndexLayout layout_;
   std::vector<std::uint8_t> derived_;
   std::vector<AtomId> derived_log_;
-  std::vector<PredList> flat_lists_;                    // kFlat, by SymbolId
-  std::unordered_map<SymbolId, PredList> node_lists_;   // kNode
+  std::vector<PredList> lists_;  // by SymbolId
   Arena arena_;
 
   TermBinding binding_;
@@ -216,16 +206,11 @@ Status JoinCore::JoinAt(const Frame& f, std::size_t pos_index, Emit& emit) {
   const CandChunk* chunk = range.from.chunk;
   std::uint32_t index = range.from.index;
   for (std::uint32_t pos = range.from.offset; pos < range.end; ++pos) {
-    AtomId cand;
-    if (range.node_atoms != nullptr) {
-      cand = (*range.node_atoms)[pos];
-    } else {
-      if (index == chunk->cap) {
-        chunk = chunk->next;
-        index = 0;
-      }
-      cand = chunk->items()[index++];
+    if (index == chunk->cap) {
+      chunk = chunk->next;
+      index = 0;
     }
+    const AtomId cand = chunk->items()[index++];
     ++visited_;
     const std::size_t mark = binding_.size();
     if (MatchAtom(f.terms, f.atoms, lit.args, cand)) {
@@ -240,9 +225,9 @@ Status JoinCore::JoinAt(const Frame& f, std::size_t pos_index, Emit& emit) {
 }
 
 /// Shared hash of a ground rule instance (head :- pos..., not neg...),
-/// consumed both by the node-based signature sets below and by the flat
-/// in-place dedupe paths that hash the same structure straight out of a
-/// body pool without materializing a signature (ground/grounder.cc,
+/// consumed both by the signature map of the incremental grounder and by
+/// the in-place dedupe paths that hash the same structure straight out of
+/// a body pool without materializing a signature (ground/grounder.cc,
 /// ground/ground_program.cc).
 inline std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
                                     std::span<const AtomId> neg) {
@@ -252,9 +237,8 @@ inline std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
   return HashAvalanche(h);
 }
 
-/// Structural signature of a ground rule instance — the kNode emission
-/// dedupe key of the batch grounder and the provenance-count key of the
-/// incremental one.
+/// Structural signature of a ground rule instance — the provenance-count
+/// key of the incremental grounder.
 struct GroundRuleSig {
   AtomId head;
   std::vector<AtomId> pos;

@@ -5,7 +5,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ast/program.h"
@@ -14,12 +13,10 @@
 
 namespace afp {
 
-/// What grounding cost in memory-layout terms: the receipt of the flat
-/// interning pipeline (AtomTable / TermTable / instance dedupe / rule
-/// dedupe), surfaced through Solver::Stats and the CLI's --stats, and
-/// recorded per layout by bench_scale. Under IndexLayout::kNode the
-/// index counters stay zero (std containers expose no probe counts);
-/// atoms/rules/arena/RSS are layout-independent.
+/// What grounding cost in memory terms: the receipt of the flat interning
+/// pipeline (AtomTable / TermTable / instance dedupe / rule dedupe),
+/// surfaced through Solver::Stats and the CLI's --stats, and recorded by
+/// bench_scale.
 struct GroundStats {
   std::size_t atoms = 0;
   std::size_t rules = 0;
@@ -86,12 +83,8 @@ struct RuleView {
 class GroundProgram {
  public:
   /// `source` provides the interner/term table used for rendering atom
-  /// names. Must outlive this object. `layout` selects the interning index
-  /// implementation for the atom table and the pre-seal rule dedupe
-  /// (GroundOptions::layout; kNode is the bench-axis ablation baseline).
-  explicit GroundProgram(const Program* source,
-                         IndexLayout layout = IndexLayout::kFlat)
-      : source_(source), layout_(layout), atoms_(layout) {}
+  /// names. Must outlive this object.
+  explicit GroundProgram(const Program* source) : source_(source) {}
 
   AtomTable& atoms() { return atoms_; }
   const AtomTable& atoms() const { return atoms_; }
@@ -113,27 +106,23 @@ class GroundProgram {
   bool AddRule(AtomId head, std::span<const AtomId> pos,
                std::span<const AtomId> neg, bool dedupe = true);
 
-  /// Releases the dedupe bookkeeping once construction is complete —
-  /// under kNode a structural copy of every rule body, easily rivaling the
-  /// program itself in size; under kFlat just the (hash, id) slot arrays,
-  /// whose probe counters are folded into the grounding receipt first.
+  /// Releases the dedupe bookkeeping once construction is complete: the
+  /// (hash, id) slot arrays, whose probe counters are folded into the
+  /// grounding receipt first.
   /// Called by the grounder before handing the program out; rules added
   /// afterwards are appended without duplicate checks.
   void SealRules() {
-    grounding_stats_.Absorb(seen_flat_.stats());
-    seen_flat_.Release();
-    decltype(seen_rules_)().swap(seen_rules_);
+    grounding_stats_.Absorb(seen_rules_.stats());
+    seen_rules_.Release();
     sealed_ = true;
   }
 
-  /// The flat-layout receipt of the grounding run that built this program
+  /// The receipt of the grounding run that built this program
   /// (counters of scratch structures the grounder destroys on completion;
   /// the live atom/term table counters are read separately — see
   /// Solver::Stats). Filled by the grounder; mutable access for it.
   const GroundStats& grounding_stats() const { return grounding_stats_; }
   GroundStats& grounding_stats_mutable() { return grounding_stats_; }
-
-  IndexLayout layout() const { return layout_; }
 
   /// --- Post-seal EDB mutation (Solver::AssertFacts / RetractFacts) ---
   ///
@@ -207,22 +196,6 @@ class GroundProgram {
   std::string ToString() const;
 
  private:
-  /// kNode dedupe key: an owning, sorted copy of the rule (two heap
-  /// allocations per candidate). Kept verbatim as the layout baseline;
-  /// the kFlat path hashes the sorted candidate from reusable scratch and
-  /// compares against rules_/body_pool_ in place.
-  struct RuleKey {
-    AtomId head;
-    std::vector<AtomId> pos;
-    std::vector<AtomId> neg;
-    bool operator==(const RuleKey& o) const {
-      return head == o.head && pos == o.pos && neg == o.neg;
-    }
-  };
-  struct RuleKeyHash {
-    std::size_t operator()(const RuleKey& k) const;
-  };
-
   /// True iff rule `id`, with its pos/neg bodies sorted, equals the sorted
   /// candidate (sort_pos_/sort_neg_ + `head`). Reads body_pool_ in place;
   /// the sort of the resident rule runs in eq_scratch_ and only on a full
@@ -233,13 +206,13 @@ class GroundProgram {
   void EnsureFactIndex() const;
 
   const Program* source_;
-  IndexLayout layout_;
   AtomTable atoms_;
   std::vector<GroundRule> rules_;
   std::vector<AtomId> body_pool_;
-  std::unordered_set<RuleKey, RuleKeyHash> seen_rules_;  // kNode
-  FlatIndex seen_flat_;                                  // kFlat
-  /// Reusable dedupe scratch (kFlat): sorted candidate bodies and the
+  /// Pre-seal rule dedupe: hashes of the sorted rules, compared against
+  /// rules_/body_pool_ in place.
+  FlatIndex seen_rules_;
+  /// Reusable dedupe scratch: sorted candidate bodies and the
   /// sorted-resident comparison buffer. Steady-state allocation-free once
   /// warmed to the longest body seen.
   mutable std::vector<AtomId> sort_pos_, sort_neg_, eq_scratch_;

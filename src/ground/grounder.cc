@@ -11,16 +11,8 @@ namespace afp {
 
 namespace {
 
-/// A fully instantiated rule awaiting final assembly (kNode layout: one
-/// node per rule, two owning vectors). The kFlat layout stores the same
-/// data as PendingMeta offsets into a shared AtomId pool.
-struct PendingRule {
-  AtomId head;
-  std::vector<AtomId> pos;
-  std::vector<AtomId> neg;
-};
-
-/// kFlat pending-rule record: body literals live in pending_pool_.
+/// A fully instantiated rule awaiting final assembly: body literals live
+/// in a shared AtomId pool (pending_pool_).
 struct PendingMeta {
   AtomId head;
   std::uint32_t pos_offset;
@@ -29,27 +21,14 @@ struct PendingMeta {
   std::uint32_t neg_len;
 };
 
-/// Structural signature used by the kNode baseline to suppress duplicate
-/// instances during enumeration. The kFlat path hashes the scratch
-/// instance against the pending pool in place, and only in naive mode.
-using RuleSig = GroundRuleSig;
-using RuleSigHash = GroundRuleSigHash;
-
 class GrounderImpl {
  public:
   GrounderImpl(Program& program, const GroundOptions& opts)
       : program_(program),
         opts_(opts),
-        atoms_(opts.layout),
-        core_(opts.layout),
         dedupe_emitted_(opts.mode == GroundMode::kSmart && !opts.semi_naive) {}
 
   StatusOr<GroundProgram> Run() {
-    // Ground instantiation interns one term per substituted argument; the
-    // program's term table is on the hot path and follows the same layout
-    // toggle as the atom tables (ids are insertion-ordered either way).
-    program_.terms().SetLayout(opts_.layout);
-
     // Split facts from proper rules; facts seed round 0.
     for (const Rule& r : program_.rules()) {
       if (r.IsFact(program_.terms())) {
@@ -203,7 +182,7 @@ class GrounderImpl {
         // Semi-naive: fire only the rules whose bodies mention a predicate
         // that gained atoms in the previous round, at that delta position,
         // in ascending-SymbolId order (rule firing order — and therefore
-        // atom/rule ids — must not depend on layout or hashing).
+        // atom/rule ids — must not depend on hashing).
         for (SymbolId pred :
              core_.DeltaPredicates(atoms_, delta_begin, delta_end)) {
           auto it = triggers.find(pred);
@@ -243,25 +222,17 @@ class GrounderImpl {
     return Status::Ok();
   }
 
-  /// Emits the instance of `r` under `binding`. `matched` holds the atoms
-  /// the join matched at the positive body positions (empty when the
-  /// instance did not come from a join: body-free rules, full mode).
+  /// Emits the instance of `r` under `binding`: substitute the head and
+  /// the negative literals into reusable scratch, take the positive
+  /// literals from `matched` (the atoms the join matched at the positive
+  /// body positions; empty when the instance did not come from a join:
+  /// body-free rules, full mode), and append to the pending pool. A
+  /// semi-naive or full enumeration visits every instance of a rule once,
+  /// so only naive mode checks the pool for an identical earlier instance
+  /// (hashed in place); duplicates across rules fall to GroundProgram's
+  /// structural dedupe in Assemble, which keeps the first occurrence.
   Status EmitInstance(const Rule& r, const TermBinding& binding,
                       std::span<const AtomId> matched) {
-    return opts_.layout == IndexLayout::kFlat
-               ? EmitInstanceFlat(r, binding, matched)
-               : EmitInstanceNode(r, binding);
-  }
-
-  /// kFlat emission: substitute the head and the negative literals into
-  /// reusable scratch, take the positive literals from `matched`, and
-  /// append to the pending pool. A semi-naive or full enumeration visits
-  /// every instance of a rule once, so only naive mode checks the pool for
-  /// an identical earlier instance (hashed in place); duplicates across
-  /// rules fall to GroundProgram's structural dedupe in Assemble, which
-  /// keeps the first occurrence.
-  Status EmitInstanceFlat(const Rule& r, const TermBinding& binding,
-                          std::span<const AtomId> matched) {
     AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", emit_args_));
     AtomId head;
     AFP_ASSIGN_OR_RETURN(head, InternAtom(r.head.predicate, emit_args_));
@@ -284,7 +255,7 @@ class GrounderImpl {
       const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
       const std::uint32_t next =
           static_cast<std::uint32_t>(pending_meta_.size());
-      const std::uint32_t got = emitted_flat_.FindOrInsert(
+      const std::uint32_t got = emitted_.FindOrInsert(
           h, next, [&](std::uint32_t id) { return PendingEquals(id, head); });
       if (got != next) return Status::Ok();
     }
@@ -305,9 +276,9 @@ class GrounderImpl {
   }
 
   /// True iff pending instance `id` equals the scratch instance
-  /// (emit_pos_/emit_neg_ + `head`). Order-sensitive, like the RuleSig it
-  /// replaces — body reordering is collapsed later by GroundProgram's
-  /// structural dedupe. Reads pending_pool_ in place.
+  /// (emit_pos_/emit_neg_ + `head`). Order-sensitive — body reordering is
+  /// collapsed later by GroundProgram's structural dedupe. Reads
+  /// pending_pool_ in place.
   bool PendingEquals(std::uint32_t id, AtomId head) const {
     const PendingMeta& m = pending_meta_[id];
     if (m.head != head || m.pos_len != emit_pos_.size() ||
@@ -331,49 +302,18 @@ class GrounderImpl {
     return Status::Ok();
   }
 
-  /// kNode emission, kept as the layout-axis baseline: every literal
-  /// substituted and interned, one owning PendingRule plus a structural
-  /// RuleSig copy per unique instance, and a discarded RuleSig copy per
-  /// duplicate.
-  Status EmitInstanceNode(const Rule& r, const TermBinding& binding) {
-    PendingRule pr;
-    {
-      std::vector<TermId> args;
-      AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", args));
-      AFP_ASSIGN_OR_RETURN(pr.head, InternAtom(r.head.predicate, args));
-    }
-    for (const Literal& l : r.body) {
-      std::vector<TermId> args;
-      AFP_RETURN_IF_ERROR(SubstArgs(r, l.atom, binding, "body literal",
-                                    args));
-      AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate, args));
-      (l.positive ? pr.pos : pr.neg).push_back(id);
-    }
-
-    // The signature set dedupes in every mode, but max_rules counts what
-    // kFlat keeps: every emission unless dedupe_emitted_.
-    if (!dedupe_emitted_) AFP_RETURN_IF_ERROR(CountEmitted());
-    RuleSig sig{pr.head, pr.pos, pr.neg};
-    if (!emitted_.insert(std::move(sig)).second) return Status::Ok();
-    if (dedupe_emitted_) AFP_RETURN_IF_ERROR(CountEmitted());
-    if (!core_.derived(pr.head)) MarkDerived(pr.head, current_emit_round_);
-    pending_.push_back(std::move(pr));
-    return Status::Ok();
-  }
-
   // --- final assembly ---
 
   StatusOr<GroundProgram> Assemble() {
     const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
-    GroundProgram gp(&program_, opts_.layout);
+    GroundProgram gp(&program_);
     auto kept = [&](AtomId a) { return !simplify || core_.derived(a); };
 
     // Compact the atom table: in simplify mode, only derivable atoms remain
     // in the base (everything else is certainly false and gets erased from
     // rule bodies below).
-    // Kept atoms are distinct and already in id order: under kFlat they
-    // are appended with their hash into a table sized up front, no
-    // equality probe (kNode interns them).
+    // Kept atoms are distinct and already in id order: they are appended
+    // with their hash into a table sized up front, no equality probe.
     std::vector<AtomId> remap(atoms_.size(), kInvalidAtom);
     std::size_t num_kept = 0;
     for (AtomId a = 0; a < atoms_.size(); ++a) num_kept += kept(a);
@@ -385,14 +325,13 @@ class GrounderImpl {
       }
     }
 
-    // kFlat dedupes empty-body rules (facts, and rules whose every literal
-    // simplified away) by head atom id; they can only equal one another,
+    // Empty-body rules (facts, and rules whose every literal simplified
+    // away) are deduped by head atom id; they can only equal one another,
     // so the structural index sees just the rules with a body.
-    std::vector<std::uint8_t> fact_seen;
-    if (opts_.layout == IndexLayout::kFlat) fact_seen.assign(gp.num_atoms(), 0);
+    std::vector<std::uint8_t> fact_seen(gp.num_atoms(), 0);
     auto add_rule = [&](AtomId head, std::span<const AtomId> pos,
                         std::span<const AtomId> neg) {
-      if (opts_.layout == IndexLayout::kFlat && pos.empty() && neg.empty()) {
+      if (pos.empty() && neg.empty()) {
         if (fact_seen[head]) return;
         fact_seen[head] = 1;
         gp.AddRule(head, {}, {}, /*dedupe=*/false);
@@ -413,16 +352,9 @@ class GrounderImpl {
       }
       add_rule(remap[head], pos, neg);
     };
-    if (opts_.layout == IndexLayout::kFlat) {
-      for (const PendingMeta& m : pending_meta_) {
-        add_pending(m.head,
-                    {pending_pool_.data() + m.pos_offset, m.pos_len},
-                    {pending_pool_.data() + m.neg_offset, m.neg_len});
-      }
-    } else {
-      for (const PendingRule& pr : pending_) {
-        add_pending(pr.head, pr.pos, pr.neg);
-      }
+    for (const PendingMeta& m : pending_meta_) {
+      add_pending(m.head, {pending_pool_.data() + m.pos_offset, m.pos_len},
+                  {pending_pool_.data() + m.neg_offset, m.neg_len});
     }
 
     // The grounding receipt: fold in the counters of every scratch
@@ -432,13 +364,13 @@ class GrounderImpl {
     // separately by Solver::Stats so their counters keep accumulating.
     GroundStats& gs = gp.grounding_stats_mutable();
     gs.Absorb(atoms_.index_stats());
-    gs.Absorb(emitted_flat_.stats());
+    gs.Absorb(emitted_.stats());
     gs.arena_bytes = core_.arena_bytes();
     gs.join_candidates_visited = core_.candidates_visited();
 
-    // Grounding is done: drop the dedupe bookkeeping (under kNode a
-    // structural copy of every rule body) before the program starts its
-    // long life. Folds the rule-dedupe index counters into the receipt.
+    // Grounding is done: drop the dedupe bookkeeping before the program
+    // starts its long life. Folds the rule-dedupe index counters into the
+    // receipt.
     gp.SealRules();
     gs.atoms = gp.num_atoms();
     gs.rules = gp.num_rules();
@@ -456,19 +388,15 @@ class GrounderImpl {
   std::vector<AtomId> fact_atoms_;
   std::uint32_t current_emit_round_ = 1;
 
-  // Emitted-instance dedupe + pending storage. kNode: signature set
-  // (consulted in every mode, the baseline) plus one PendingRule node per
-  // instance. kFlat: (hash, id) index over a shared AtomId pool, consulted
-  // only when dedupe_emitted_ (naive mode).
+  // Emitted-instance dedupe + pending storage: a (hash, id) index over the
+  // shared AtomId pool, consulted only when dedupe_emitted_ (naive mode).
   const bool dedupe_emitted_;
   std::size_t num_emitted_ = 0;  // instances charged against max_rules
-  std::vector<PendingRule> pending_;
-  std::unordered_set<RuleSig, RuleSigHash> emitted_;
   std::vector<PendingMeta> pending_meta_;
   std::vector<AtomId> pending_pool_;
-  FlatIndex emitted_flat_;
+  FlatIndex emitted_;
 
-  // Reusable kFlat emission scratch.
+  // Reusable emission scratch.
   std::vector<TermId> emit_args_;
   std::vector<AtomId> emit_pos_, emit_neg_;
 };

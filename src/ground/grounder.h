@@ -6,7 +6,6 @@
 
 #include "ast/program.h"
 #include "ground/ground_program.h"
-#include "util/flat_index.h"
 #include "util/status.h"
 
 namespace afp {
@@ -42,19 +41,9 @@ struct GroundOptions {
   /// universes reachable through function symbols). max_rules counts the
   /// instances emitted before the final structural dedupe, so an instance
   /// produced by two different rules counts twice. Naive kSmart grounding
-  /// drops repeated instances at emission and counts each once. Both
-  /// layouts count alike.
+  /// drops repeated instances at emission and counts each once.
   std::size_t max_atoms = 5'000'000;
   std::size_t max_rules = 20'000'000;
-  /// Memory layout of every hot interning structure along the pipeline:
-  /// the program's TermTable, the grounder's scratch AtomTable, instance
-  /// dedupe and per-predicate candidate index, and the produced
-  /// GroundProgram's atom table and pre-seal rule dedupe. kFlat (default)
-  /// is the pool-probing FlatIndex + arena layout; kNode preserves the
-  /// node-based std::unordered_map/set structures with heap-copied keys as
-  /// the `layout` bench-axis ablation baseline. Atom ids, rule order and
-  /// models are bit-identical across the two (pinned by grounder_test).
-  IndexLayout layout = IndexLayout::kFlat;
 };
 
 /// Computes the (relevant) Herbrand instantiation of `program`.

@@ -100,7 +100,7 @@ class IncrementalGrounder {
   /// false (the Solver enforces this before constructing one).
   IncrementalGrounder(Program& program, GroundProgram& gp,
                       const GroundOptions& opts)
-      : program_(program), gp_(gp), opts_(opts), core_(opts.layout) {}
+      : program_(program), gp_(gp), opts_(opts) {}
 
   bool initialized() const { return initialized_; }
 

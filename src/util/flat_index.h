@@ -7,17 +7,6 @@
 
 namespace afp {
 
-/// Which index implementation an interning table uses. kFlat is the
-/// production layout (FlatIndex below); kNode preserves the node-based
-/// std::unordered_map/set structures with heap-copied keys as the ablation
-/// baseline for the `layout` bench axis. Both produce bit-identical dense
-/// ids, rule order and models — the toggle changes constant factors only.
-enum class IndexLayout : std::uint8_t { kFlat, kNode };
-
-inline const char* IndexLayoutName(IndexLayout l) {
-  return l == IndexLayout::kFlat ? "flat" : "node";
-}
-
 /// Allocation/probe counters of a FlatIndex (or of a table aggregating
 /// several). Steady-state lookups touch `probes`/`collisions` only;
 /// `grow_allocs` moves exclusively when a table (re)allocates its slot
@@ -113,8 +102,8 @@ class FlatIndex {
     }
   }
 
-  /// Inserts a key known to be absent (index rebuild paths). The caller
-  /// vouches for absence; no equality check runs.
+  /// Inserts a key known to be absent (append paths that copy distinct
+  /// keys). The caller vouches for absence; no equality check runs.
   void InsertUnique(std::uint64_t hash, std::uint32_t id) {
     if ((size_ + 1) * 3 > ids_.size() * 2) Rehash(NextCapacity());
     Place(hash, id);

@@ -14,6 +14,11 @@ namespace workload {
 /// node naming on the small examples.
 std::string NodeName(int i);
 
+/// `prefix` followed by the decimal `i`, e.g. IndexedName("p", 3) == "p3".
+/// Built by appending: g++ 12 at -O3 reports a -Wrestrict false positive
+/// inside libstdc++ for `"p" + std::to_string(i)`.
+std::string IndexedName(const char* prefix, int i);
+
 /// The win–move program of Example 5.2 over the given move graph:
 ///   wins(X) :- move(X,Y), not wins(Y).
 /// plus move facts. Unstratified whenever the graph has a cycle.

@@ -1,13 +1,14 @@
 // FlatIndex tests: randomized differential fuzz against std::unordered_map,
-// dense-id stability across growth, and the kFlat-vs-kNode interning
-// lockstep stress on AtomTable (the two layouts must hand out bit-identical
-// ids in every interleaving).
+// dense-id stability across growth, and a million-op interning lockstep of
+// AtomTable against a std::map oracle (same ids in every interleaving).
 
 #include "util/flat_index.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -98,8 +99,8 @@ TEST(FlatIndex, SteadyStateLookupsNeverGrow) {
 }
 
 TEST(FlatIndex, InsertUniqueRebuildMatchesFindOrInsert) {
-  // Index rebuild path (SetLayout): InsertUnique over known-distinct keys
-  // must produce a probeable index identical to the incremental build.
+  // Append path (AtomTable::AppendUnique): InsertUnique over known-distinct
+  // keys must produce a probeable index identical to the incremental build.
   Pool incremental;
   for (std::uint32_t i = 0; i < 500; ++i) incremental.Intern(i * 7919u);
 
@@ -179,15 +180,16 @@ TEST(FlatIndex, AdversarialHashCollisionsStayCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// AtomTable layout lockstep
+// AtomTable interning lockstep
 // ---------------------------------------------------------------------------
 
-TEST(FlatIndexLayout, MillionInternLockstep) {
-  // The layout toggle must be invisible in ids: drive a kFlat and a kNode
-  // AtomTable through the same million-op intern/find stream (heavy repeat
-  // rate, varying arities) and require identical results at every step.
-  AtomTable flat(IndexLayout::kFlat);
-  AtomTable node(IndexLayout::kNode);
+TEST(AtomTable, MillionInternLockstep) {
+  // Drive an AtomTable and a std::map (pred, args) -> id oracle that hands
+  // out ids in first-intern order through the same million-op intern/find
+  // stream (heavy repeat rate, varying arities) and require identical
+  // results at every step.
+  AtomTable table;
+  std::map<std::pair<SymbolId, std::vector<TermId>>, AtomId> oracle;
   std::mt19937_64 rng(89);
   std::uniform_int_distribution<std::uint32_t> pred_dist(0, 15);
   std::uniform_int_distribution<std::uint32_t> term_dist(0, 199);
@@ -199,34 +201,26 @@ TEST(FlatIndexLayout, MillionInternLockstep) {
     const std::uint32_t arity = arity_dist(rng);
     for (std::uint32_t i = 0; i < arity; ++i) args[i] = term_dist(rng);
     const std::span<const TermId> span(args, arity);
+    std::pair<SymbolId, std::vector<TermId>> key{pred, {args, args + arity}};
     if (op % 4 == 0) {
-      ASSERT_EQ(flat.Find(pred, span), node.Find(pred, span)) << "op " << op;
-    } else {
-      ASSERT_EQ(flat.Intern(pred, span), node.Intern(pred, span))
+      const auto it = oracle.find(key);
+      ASSERT_EQ(table.Find(pred, span),
+                it == oracle.end() ? kInvalidAtom : it->second)
           << "op " << op;
+    } else {
+      const auto [it, inserted] = oracle.emplace(
+          std::move(key), static_cast<AtomId>(oracle.size()));
+      ASSERT_EQ(table.Intern(pred, span), it->second) << "op " << op;
     }
   }
-  ASSERT_EQ(flat.size(), node.size());
-  // kNode performed no flat-index work; kFlat allocated only on growth.
-  EXPECT_EQ(node.index_stats().probes, 0u);
-  EXPECT_GT(flat.index_stats().probes, 0u);
-}
-
-TEST(FlatIndexLayout, SetLayoutRebuildsWithoutRenumbering) {
-  // Intern under kNode, flip to kFlat (the Grounder does this when the
-  // program's tables were populated before GroundOptions were known), and
-  // require every id to resolve unchanged — then keep interning.
-  AtomTable table(IndexLayout::kNode);
-  std::vector<TermId> args = {3, 4};
-  const AtomId a = table.Intern(1, args);
-  const AtomId b = table.Intern(2, args);
-  table.SetLayout(IndexLayout::kFlat);
-  EXPECT_EQ(table.Find(1, args), a);
-  EXPECT_EQ(table.Find(2, args), b);
-  const AtomId c = table.Intern(3, args);
-  EXPECT_EQ(c, 2u);
-  table.SetLayout(IndexLayout::kNode);
-  EXPECT_EQ(table.Find(3, args), c);
+  ASSERT_EQ(table.size(), oracle.size());
+  for (const auto& [key, id] : oracle) {
+    ASSERT_EQ(table.predicate(id), key.first);
+    const auto as = table.args(id);
+    ASSERT_TRUE(std::equal(as.begin(), as.end(), key.second.begin(),
+                           key.second.end()));
+  }
+  EXPECT_GT(table.index_stats().probes, 0u);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/interpretation.h"
+#include "reference_grounder.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -137,7 +139,6 @@ TEST(Grounder, MaxRulesCountsEmissionsAlikeInBothLayouts) {
   // max_rules counts instances before the structural dedupe. p(a) :- q(a)
   // comes from both rules, so semi-naive and full grounding emit three
   // instances; naive grounding drops the repeat at emission and emits two.
-  // Both layouts must trip at the same limit.
   struct Case {
     GroundMode mode;
     bool semi_naive;
@@ -146,28 +147,24 @@ TEST(Grounder, MaxRulesCountsEmissionsAlikeInBothLayouts) {
   for (const Case& c : {Case{GroundMode::kSmart, true, 3},
                         Case{GroundMode::kSmart, false, 2},
                         Case{GroundMode::kFull, true, 3}}) {
-    for (IndexLayout layout : {IndexLayout::kFlat, IndexLayout::kNode}) {
-      for (std::size_t limit : {c.emitted - 1, c.emitted}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "semi_naive=" << c.semi_naive << " full="
-                     << (c.mode == GroundMode::kFull) << " node="
-                     << (layout == IndexLayout::kNode) << " limit=" << limit);
-        auto parsed = ParseProgram("q(a). q(b). p(X) :- q(X). p(a) :- q(a).");
-        ASSERT_TRUE(parsed.ok());
-        Program p = std::move(parsed).value();
-        GroundOptions opts;
-        opts.mode = c.mode;
-        opts.semi_naive = c.semi_naive;
-        opts.layout = layout;
-        opts.max_rules = limit;
-        auto g = Grounder::Ground(p, opts);
-        if (limit == c.emitted) {
-          ASSERT_TRUE(g.ok()) << g.status().ToString();
-          EXPECT_EQ(g.value().num_rules(), 4u);  // two facts, two rules
-        } else {
-          ASSERT_FALSE(g.ok());
-          EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
-        }
+    for (std::size_t limit : {c.emitted - 1, c.emitted}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "semi_naive=" << c.semi_naive << " full="
+                   << (c.mode == GroundMode::kFull) << " limit=" << limit);
+      auto parsed = ParseProgram("q(a). q(b). p(X) :- q(X). p(a) :- q(a).");
+      ASSERT_TRUE(parsed.ok());
+      Program p = std::move(parsed).value();
+      GroundOptions opts;
+      opts.mode = c.mode;
+      opts.semi_naive = c.semi_naive;
+      opts.max_rules = limit;
+      auto g = Grounder::Ground(p, opts);
+      if (limit == c.emitted) {
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        EXPECT_EQ(g.value().num_rules(), 4u);  // two facts, two rules
+      } else {
+        ASSERT_FALSE(g.ok());
+        EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
       }
     }
   }
@@ -213,47 +210,18 @@ TEST(Grounder, TotalSizeAccounting) {
   EXPECT_EQ(gp.TotalSize(), 4u);
 }
 
-TEST(Grounder, LayoutsProduceBitIdenticalGroundPrograms) {
-  // GroundOptions::layout is a constant-factor toggle: kFlat and kNode must
-  // produce the same atoms, same ids, same rules in the same order — so the
-  // rendered programs compare equal as strings.
-  auto programs = [] {
-    std::vector<std::pair<Program, Program>> ps;
-    ps.emplace_back(workload::WinMove(graphs::ErdosRenyi(64, 256, 7)),
-                    workload::WinMove(graphs::ErdosRenyi(64, 256, 7)));
-    ps.emplace_back(
-        workload::TransitiveClosureComplement(graphs::ErdosRenyi(24, 48, 3)),
-        workload::TransitiveClosureComplement(graphs::ErdosRenyi(24, 48, 3)));
-    auto parsed = ParseProgram(R"(
+TEST(Grounder, MatchesReferenceGrounder) {
+  // The grounder against the test-only reference (tests/reference_grounder.h,
+  // Definition 3.4 computed naively), compared as sorted rule and atom
+  // lists: a rule kept twice, a rule lost, a negative literal dropped or
+  // kept wrongly all show. The shapes stress the emission and assembly
+  // dedupe: the emitter drops repeated instances only in naive mode and
+  // leaves duplicates across rules, and empty bodies, to the assembly.
+  const std::string fn_program = R"(
       n(z). bound(z). bound(s(z)).
       n(s(X)) :- n(X), bound(X).
       odd(s(X)) :- n(s(X)), not odd(X).
-    )");
-    EXPECT_TRUE(parsed.ok());
-    auto parsed2 = ParseProgram(R"(
-      n(z). bound(z). bound(s(z)).
-      n(s(X)) :- n(X), bound(X).
-      odd(s(X)) :- n(s(X)), not odd(X).
-    )");
-    EXPECT_TRUE(parsed2.ok());
-    ps.emplace_back(std::move(parsed).value(), std::move(parsed2).value());
-    return ps;
-  }();
-  for (auto& [p_flat, p_node] : programs) {
-    GroundOptions flat;
-    flat.layout = IndexLayout::kFlat;
-    GroundOptions node;
-    node.layout = IndexLayout::kNode;
-    GroundProgram g1 = MustGround(p_flat, flat);
-    GroundProgram g2 = MustGround(p_node, node);
-    ASSERT_EQ(g1.num_atoms(), g2.num_atoms());
-    ASSERT_EQ(g1.num_rules(), g2.num_rules());
-    EXPECT_EQ(g1.ToString(), g2.ToString());
-  }
-
-  // The kFlat emitter drops repeated instances only in naive mode and
-  // leaves duplicates across rules, and empty bodies, to the assembly's
-  // dedupe; kNode dedupes every emission. Shapes where the two could part:
+    )";
   const std::vector<std::string> cases = {
       // duplicate facts
       "q(a). q(a). q(b). q(a). p(X) :- q(X).",
@@ -270,35 +238,51 @@ TEST(Grounder, LayoutsProduceBitIdenticalGroundPrograms) {
       // bodies that simplify to empty and then equal a fact, or each other
       "p. p :- not r. q :- not r. q :- not s.",
   };
+  struct Source {
+    std::string name;
+    std::function<Program()> make;
+  };
+  std::vector<Source> sources = {
+      {"win-move ER(64,256)",
+       [] { return workload::WinMove(graphs::ErdosRenyi(64, 256, 7)); }},
+      {"tc-complement ER(24,48)",
+       [] {
+         return workload::TransitiveClosureComplement(
+             graphs::ErdosRenyi(24, 48, 3));
+       }},
+  };
+  std::vector<std::string> texts = cases;
+  texts.push_back(fn_program);
+  for (const std::string& text : texts) {
+    sources.push_back({text, [text] {
+                         auto parsed = ParseProgram(text);
+                         EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+                         return std::move(parsed).value();
+                       }});
+  }
   struct Config {
     GroundMode mode;
     bool semi_naive;
-    bool simplify;
+    const char* name;
   };
-  for (const std::string& text : cases) {
-    for (GroundMode mode : {GroundMode::kSmart, GroundMode::kFull}) {
-      for (bool semi_naive : {true, false}) {
-        if (mode == GroundMode::kFull && !semi_naive) continue;
-        for (bool simplify : {true, false}) {
-          SCOPED_TRACE(text + (mode == GroundMode::kFull ? " full"
-                               : semi_naive          ? " semi-naive"
-                                                     : " naive") +
-                       (simplify ? " simplify" : ""));
-          std::string rendered[2];
-          for (IndexLayout layout : {IndexLayout::kFlat, IndexLayout::kNode}) {
-            auto parsed = ParseProgram(text);
-            ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-            Program p = std::move(parsed).value();
-            GroundOptions opts;
-            opts.mode = mode;
-            opts.semi_naive = semi_naive;
-            opts.simplify = simplify;
-            opts.layout = layout;
-            rendered[layout == IndexLayout::kNode] =
-                MustGround(p, opts).ToString();
-          }
-          EXPECT_EQ(rendered[0], rendered[1]);
-        }
+  for (const Source& src : sources) {
+    for (const Config& c : {Config{GroundMode::kSmart, true, "semi-naive"},
+                            Config{GroundMode::kSmart, false, "naive"},
+                            Config{GroundMode::kFull, true, "full"}}) {
+      for (bool simplify : {true, false}) {
+        SCOPED_TRACE(src.name + " " + c.name +
+                     (simplify ? " simplify" : ""));
+        Program p = src.make();
+        GroundOptions opts;
+        opts.mode = c.mode;
+        opts.semi_naive = c.semi_naive;
+        opts.simplify = simplify;
+        const GroundProgram gp = MustGround(p, opts);
+        Program ref_p = src.make();
+        const ReferenceGround ref =
+            ReferenceGrounder::Ground(ref_p, c.mode, simplify);
+        EXPECT_EQ(CanonicalRules(gp), ref.rules);
+        EXPECT_EQ(AtomNames(gp), ref.atoms);
       }
     }
   }
@@ -330,20 +314,17 @@ TEST(Grounder, ChainGroundsWithJoinVisitsLinearInAtoms) {
   // whole candidate list each round would make this quadratic; the round
   // cursors let the delta position scan only the previous round's atom, so
   // the 50k-atom bound is reached after ~50k visits.
-  for (IndexLayout layout : {IndexLayout::kFlat, IndexLayout::kNode}) {
-    auto parsed = ParseProgram("n(z). n(s(X)) :- n(X).");
-    ASSERT_TRUE(parsed.ok());
-    Program p = std::move(parsed).value();
-    GroundOptions opts;
-    opts.max_atoms = 50000;
-    opts.layout = layout;
-    std::uint64_t visits = 0;
-    auto g = Grounder::Ground(p, opts, &visits);
-    ASSERT_FALSE(g.ok());
-    EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_GE(visits, opts.max_atoms - 1);
-    EXPECT_LE(visits, 2 * opts.max_atoms);
-  }
+  auto parsed = ParseProgram("n(z). n(s(X)) :- n(X).");
+  ASSERT_TRUE(parsed.ok());
+  Program p = std::move(parsed).value();
+  GroundOptions opts;
+  opts.max_atoms = 50000;
+  std::uint64_t visits = 0;
+  auto g = Grounder::Ground(p, opts, &visits);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GE(visits, opts.max_atoms - 1);
+  EXPECT_LE(visits, 2 * opts.max_atoms);
 }
 
 TEST(Grounder, JoinVisitsAreReportedInTheReceipt) {
@@ -361,7 +342,7 @@ TEST(Grounder, JoinVisitsAreReportedInTheReceipt) {
 TEST(Grounder, SteadyStateLookupsDoNotAllocate) {
   // Regression guard for the AtomTable::Find fast path: Find used to build
   // a Key{pred, std::vector<TermId>} per call — one heap allocation per
-  // negative-literal probe. Under kFlat, lookups on a populated table must
+  // negative-literal probe. Lookups on a populated table must
   // move the probe counters without ever touching grow_allocs (the only
   // counter that increments when the index allocates).
   Program p = workload::WinMove(graphs::ErdosRenyi(128, 512, 11));
@@ -388,13 +369,6 @@ TEST(Grounder, GroundStatsReceiptIsFilled) {
   EXPECT_EQ(g.rules, gp.num_rules());
   EXPECT_GT(g.intern_probes, 0u);
   EXPECT_GT(g.arena_bytes, 0u);
-
-  // The kNode ablation baseline runs no flat index at all.
-  Program p2 = workload::WinMove(graphs::ErdosRenyi(64, 256, 7));
-  GroundOptions node;
-  node.layout = IndexLayout::kNode;
-  GroundProgram gp2 = MustGround(p2, node);
-  EXPECT_EQ(gp2.grounding_stats().intern_probes, 0u);
 }
 
 TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {

@@ -67,8 +67,8 @@ TEST(HornSolver, PositiveChainClosure) {
   Program p;
   p.AddFact("p9", {});
   for (int i = 0; i < 9; ++i) {
-    p.AddRule(p.MakeAtom("p" + std::to_string(i)),
-              {Program::Pos(p.MakeAtom("p" + std::to_string(i + 1)))});
+    p.AddRule(p.MakeAtom(workload::IndexedName("p", i)),
+              {Program::Pos(p.MakeAtom(workload::IndexedName("p", i + 1)))});
   }
   GroundProgram gp = MustGround(p);
   HornSolver solver(gp.View());

@@ -295,7 +295,8 @@ TEST(Parser, NestingAtTheBoundRunsEndToEnd) {
   auto s = Solver::FromText(fact + "\nq(X) :- p(X), not r(X).\n");
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   s->Solve();
-  const std::string deep_q = "q" + fact.substr(1, fact.size() - 2);
+  std::string deep_q = "q";
+  deep_q.append(fact, 1, fact.size() - 2);
   auto v = s->Query(deep_q);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(*v, TruthValue::kTrue);

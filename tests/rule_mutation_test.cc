@@ -251,74 +251,6 @@ TEST(RuleMutationParallel, FuzzSccGusInterpretedThreads4) {
                   7, 24);
 }
 
-// --- Memory-layout axis: the fuzz under IndexLayout::kNode, and a
-// --- flat-vs-node lockstep over the same mutation stream ----------------
-
-TEST(RuleMutationTest, FuzzSccSpInterpretedNodeLayout) {
-  // The full differential fuzz with the ablation-baseline interning layout:
-  // IncrementalGrounder's delta re-grounding must behave identically when
-  // the tables index through the node-based structures.
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
-  o.ground.layout = IndexLayout::kNode;
-  RunMutationFuzz(o, 8, 24);
-}
-
-TEST(RuleMutationTest, LayoutLockstepUnderMutationFuzz) {
-  // Two sessions, one per layout, fed the identical mutation stream; after
-  // every step the (spliced, delta-reground) ground programs must render
-  // identically and the models must agree. This pins the layout toggle as
-  // a constant-factor change through the incremental-grounding path too —
-  // remap tables, splices and delta emissions included.
-  SolverOptions flat_opts = MutableOptions(
-      SolverEngine::kScc, SccInnerEngine::kAfp, CompileMode::kOff, 1);
-  flat_opts.ground.layout = IndexLayout::kFlat;
-  SolverOptions node_opts = flat_opts;
-  node_opts.ground.layout = IndexLayout::kNode;
-
-  const std::string base_text =
-      "p(X) :- e(X,Y), not p(Y).\n"
-      "e(a,b). e(b,c). e(c,a). e(c,d). f(a). f(d).\n";
-  const std::vector<std::string> pool = {
-      "q(X) :- e(X,Y), p(Y).", "s(X) :- f(X).",
-      "r(X) :- q(X), not s(X).", "w(g(X)) :- f(X).",
-      "q(X) :- f(X), not r(X).",
-  };
-
-  Solver flat = MustSolver(base_text, flat_opts);
-  Solver node = MustSolver(base_text, node_opts);
-  flat.Solve();
-  node.Solve();
-  ASSERT_EQ(flat.ground().ToString(), node.ground().ToString());
-
-  FuzzState rng{42};
-  std::vector<std::string> live;
-  for (int step = 0; step < 24; ++step) {
-    const std::string where = "step=" + std::to_string(step);
-    if (rng.Next() % 3 != 0 || live.empty()) {
-      const std::string& rule = pool[rng.Next() % pool.size()];
-      auto rf = flat.AddRule(rule);
-      auto rn = node.AddRule(rule);
-      ASSERT_TRUE(rf.ok() && rn.ok()) << where;
-      ASSERT_EQ(rf->ground_rules_added, rn->ground_rules_added) << where;
-      ASSERT_EQ(rf->atoms_added, rn->atoms_added) << where;
-      live.push_back(rule);
-    } else {
-      const std::size_t i = rng.Next() % live.size();
-      auto rf = flat.RemoveRule(live[i]);
-      auto rn = node.RemoveRule(live[i]);
-      ASSERT_TRUE(rf.ok() && rn.ok()) << where;
-      ASSERT_EQ(rf->ground_rules_removed, rn->ground_rules_removed) << where;
-      live.erase(live.begin() + i);
-    }
-    ASSERT_EQ(flat.ground().ToString(), node.ground().ToString()) << where;
-    const PartialModel& mf = flat.Solve();
-    const PartialModel& mn = node.Solve();
-    ASSERT_EQ(mf.true_atoms(), mn.true_atoms()) << where;
-    ASSERT_EQ(mf.false_atoms(), mn.false_atoms()) << where;
-  }
-}
-
 // --- Targeted unit tests ----------------------------------------------
 
 TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <string>
@@ -239,13 +240,18 @@ TEST(Serving, ConcurrentReadersSeeCompleteVersionedSnapshots) {
   const AtomId p = *srv->Resolve("p");
   const AtomId q = *srv->Resolve("q");
 
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<int> violations{0};
+  // Start barrier: the writer waits until every reader has read once, so
+  // `stop` can never be set before any reader ran.
+  std::latch started(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       std::uint64_t last_version = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         SnapshotPtr snap = srv->snapshot();
         // Complete-model invariant: with e true, p is true and q false;
@@ -262,10 +268,15 @@ TEST(Serving, ConcurrentReadersSeeCompleteVersionedSnapshots) {
         }
         last_version = snap->version;
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          started.count_down();
+          first = false;
+        }
       }
     });
   }
 
+  started.wait();
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(srv->RetractFacts({"e"}).ok());
     ASSERT_TRUE(srv->AssertFacts({"e"}).ok());
@@ -410,8 +421,11 @@ TEST(ServingParallel, RuleOpsUnderLockFreeReaders) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
+  // Start barrier: the writer waits until every reader has read once.
+  std::latch started(3);
   auto reader = [&] {
     std::uint64_t last_version = 0;
+    bool first = true;
     while (!stop.load(std::memory_order_relaxed)) {
       SnapshotPtr snap = srv->snapshot();
       EXPECT_GE(snap->version, last_version);
@@ -420,9 +434,14 @@ TEST(ServingParallel, RuleOpsUnderLockFreeReaders) {
       (void)srv->QueryBatchIds(ids);
       (void)srv->Query("z(a)");  // text path: may or may not exist yet
       reads.fetch_add(1, std::memory_order_relaxed);
+      if (first) {
+        started.count_down();
+        first = false;
+      }
     }
   };
   std::thread r1(reader), r2(reader), r3(reader);
+  started.wait();
 
   for (int i = 0; i < 30; ++i) {
     srv->AddRule("z(X) :- p(X).");

@@ -55,12 +55,6 @@
 //                                      work-sharing pool (default 1; the
 //                                      model set AND the emission order
 //                                      are identical at every N)
-//   --layout=flat|node                 memory layout of the grounding
-//                                      pipeline's interning structures
-//                                      (default flat; node = the node-based
-//                                      ablation baseline of the bench
-//                                      `layout` axis; models and ids are
-//                                      identical in both)
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
 //   --trace                            print the Table-I style trace (wfs)
@@ -113,7 +107,6 @@ struct Options {
   bool inner_given = false;
   std::string compile = "hot";
   bool compile_given = false;
-  std::string layout = "flat";
   int threads = 1;
   bool threads_given = false;
   int search_threads = 1;
@@ -208,7 +201,6 @@ int main(int argc, char** argv) {
       opts.compile_given = true;
       continue;
     }
-    if (ParseFlag(arg, "layout", &opts.layout)) continue;
     if (ParseFlag(arg, "threads", &value)) {
       try {
         opts.threads = std::stoi(value);
@@ -406,13 +398,6 @@ int main(int argc, char** argv) {
   sopts.search_threads = opts.search_threads;
   sopts.compile = compile_mode;
   sopts.record_trace = opts.trace;
-  if (opts.layout == "node") {
-    sopts.ground.layout = afp::IndexLayout::kNode;
-  } else if (opts.layout != "flat") {
-    std::cerr << "afp: bad --layout value '" << opts.layout
-              << "' (flat|node)\n";
-    return 1;
-  }
   // Fitting/IFP need the rule instances whose positive bodies are
   // underivable (see GroundMode documentation).
   if (opts.semantics == "fitting" || opts.semantics == "ifp") {
@@ -433,8 +418,7 @@ int main(int argc, char** argv) {
               << "  rules: " << gp.num_rules()
               << "  size: " << gp.TotalSize() << "\n";
     const afp::GroundStats& g = solver.Stats().ground;
-    std::cout << "% layout: " << afp::IndexLayoutName(gp.layout())
-              << "  intern probes: " << g.intern_probes
+    std::cout << "% intern probes: " << g.intern_probes
               << "  join candidates visited: " << g.join_candidates_visited
               << "  intern collisions: " << g.intern_collisions
               << "  intern grow allocs: " << g.intern_allocs << "\n";
