@@ -7,13 +7,17 @@
 // on the flagship 4-thread speedup.
 //
 // Like bench_scale this binary is self-timed and prints a native JSON
-// report on stdout. Each (workload, threads, variant) config runs in a
-// forked child so allocator and registry state never leak between timings;
-// within the child the same engine is run twice and the faster run is
-// reported (enumeration is deterministic, so the second run does identical
-// work on warm pools).
+// report on stdout. Each (workload, threads, variant) config is repeated
+// kRepetitions times, every repetition in its own forked child so
+// allocator and registry state never leak between timings; a child runs
+// the engine once to warm its pools and times a second run (enumeration
+// is deterministic, so both runs do identical work). A row records the
+// median of the repetitions as `wall_ms` (the figure the checker reads),
+// the fastest as `wall_ms_min`, and `spread` = (max - min) / median.
 //
-// Every row carries the model count, the node count, and an FNV-1a hash of
+// Every row carries the model count, the node count, the S_P evaluations
+// of the whole enumeration (`sp_calls`, leaf stability checks included),
+// and an FNV-1a hash of
 // the full emission sequence (model set AND order), so the distiller can
 // assert that every thread count produced the bit-identical enumeration —
 // the subsystem's core contract — before any wall-clock ratio is trusted.
@@ -31,9 +35,11 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -64,6 +70,9 @@ constexpr Config kConfigs[] = {
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
+/// Forked repetitions per config; the row reports their median.
+constexpr int kRepetitions = 5;
+
 double Ms(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              b - a)
@@ -86,7 +95,8 @@ std::uint64_t HashModels(const std::vector<afp::Bitset>& models) {
   return h;
 }
 
-/// Runs one (workload, threads, variant) config and returns its JSON row.
+/// Runs one repetition of a (workload, threads, variant) config and
+/// returns "<wall_ms> <JSON fields>", the fields without the timing ones.
 /// Called in a forked child; must not touch the parent's report state.
 std::string RunConfig(const Config& cfg, int threads, bool seeded) {
   afp::Program program =
@@ -111,33 +121,23 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
     engine.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
   }
 
-  // Two runs on the same engine; keep the faster (the enumeration is
-  // deterministic, so both runs do identical work).
-  double wall_ms = 0;
-  afp::ParallelSearchResult result;
-  for (int run = 0; run < 2; ++run) {
-    const auto t0 = Clock::now();
-    afp::ParallelSearchResult r = engine.Enumerate();
-    const auto t1 = Clock::now();
-    const double ms = Ms(t0, t1);
-    if (run == 0 || ms < wall_ms) {
-      wall_ms = ms;
-      result = std::move(r);
-    }
-  }
+  // A warm-up run, then the timed one on the warm engine.
+  engine.Enumerate();
+  const auto t0 = Clock::now();
+  afp::ParallelSearchResult result = engine.Enumerate();
+  const double wall_ms = Ms(t0, Clock::now());
 
   const afp::StableSearchStats& s = result.search;
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"workload\": \"%s\", \"threads\": %d, \"variant\": \"%s\", "
-      "\"wall_ms\": %.2f, \"models\": %llu, \"nodes\": %llu, "
-      "\"afp_calls\": %llu, \"implied_atoms\": %llu, \"steals\": %llu, "
-      "\"idle_waits\": %llu, \"model_hash\": \"%016llx\"}",
-      cfg.workload, threads, seeded ? "seeded" : "unseeded", wall_ms,
-      static_cast<unsigned long long>(s.models),
+      "%.6f \"models\": %llu, \"nodes\": %llu, \"afp_calls\": %llu, "
+      "\"sp_calls\": %llu, \"implied_atoms\": %llu, \"steals\": %llu, "
+      "\"idle_waits\": %llu, \"model_hash\": \"%016llx\"",
+      wall_ms, static_cast<unsigned long long>(s.models),
       static_cast<unsigned long long>(s.nodes),
       static_cast<unsigned long long>(s.afp_calls),
+      static_cast<unsigned long long>(result.eval.sp_calls),
       static_cast<unsigned long long>(s.implied_atoms),
       static_cast<unsigned long long>(s.steals),
       static_cast<unsigned long long>(s.idle_waits),
@@ -145,9 +145,9 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
   return buf;
 }
 
-/// Forks a child to run one config; the child writes its row to a pipe and
-/// exits without running atexit handlers. Returns the row, or "" on any
-/// child failure (reported on stderr by the child).
+/// Forks a child to run one repetition; the child writes its sample to a
+/// pipe and exits without running atexit handlers. Returns the sample, or
+/// "" on any child failure (reported on stderr by the child).
 std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
   int fds[2];
   if (pipe(fds) != 0) {
@@ -188,13 +188,51 @@ std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
   return row;
 }
 
+/// Runs kRepetitions forked repetitions of one config and returns its JSON
+/// row: the timing summary plus the counters of the median repetition
+/// (the enumeration counters are identical in every repetition; steals and
+/// idle waits are not). Returns "" if any repetition failed.
+std::string RunRepeated(const Config& cfg, int threads, bool seeded) {
+  struct Sample {
+    double wall_ms;
+    std::string fields;
+  };
+  std::vector<Sample> samples;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    const std::string out = RunConfigForked(cfg, threads, seeded);
+    char* end = nullptr;
+    const double ms = std::strtod(out.c_str(), &end);
+    if (out.empty() || end == out.c_str()) return {};
+    samples.push_back({ms, std::string(end + 1)});
+  }
+  std::sort(samples.begin(), samples.end(),
+            [](const Sample& a, const Sample& b) {
+              return a.wall_ms < b.wall_ms;
+            });
+  const Sample& median = samples[samples.size() / 2];
+  const double spread =
+      median.wall_ms > 0
+          ? (samples.back().wall_ms - samples.front().wall_ms) / median.wall_ms
+          : 0.0;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"workload\": \"%s\", \"threads\": %d, "
+                "\"variant\": \"%s\", \"wall_ms\": %.2f, "
+                "\"wall_ms_min\": %.2f, \"spread\": %.3f, "
+                "\"repetitions\": %d, ",
+                cfg.workload, threads, seeded ? "seeded" : "unseeded",
+                median.wall_ms, samples.front().wall_ms, spread,
+                kRepetitions);
+  return buf + median.fields + "}";
+}
+
 }  // namespace
 
 int main() {
   std::vector<std::string> rows;
   for (const Config& cfg : kConfigs) {
     for (int threads : kThreadCounts) {
-      std::string row = RunConfigForked(cfg, threads, /*seeded=*/false);
+      std::string row = RunRepeated(cfg, threads, /*seeded=*/false);
       if (row.empty()) {
         std::fprintf(stderr, "bench_search: config %s/%d failed\n",
                      cfg.workload, threads);
@@ -203,7 +241,7 @@ int main() {
       rows.push_back(std::move(row));
     }
     // Seeded-root info row (the Solver warm path) at 1 thread.
-    std::string row = RunConfigForked(cfg, 1, /*seeded=*/true);
+    std::string row = RunRepeated(cfg, 1, /*seeded=*/true);
     if (row.empty()) {
       std::fprintf(stderr, "bench_search: config %s seeded failed\n",
                    cfg.workload);

@@ -26,8 +26,9 @@
 /// Determinism argument. Enumeration is bit-identical — model set AND
 /// emission order — at every thread count because
 ///   (1) the branch tree itself is thread-count independent: a node's
-///       propagation depends only on its assumptions (same conditioning,
-///       same fixpoint code as the sequential search), the branch atom is
+///       decided sets depend only on its assumptions (same conditioning
+///       as the sequential search; the seeded fixpoint lands on the same
+///       least fixpoint — see the seeding contract), the branch atom is
 ///       canonically the first undecided atom, and children are ordered
 ///       assume-false before assume-true;
 ///   (2) workers record results into an explicit tree (node states, never
@@ -43,11 +44,24 @@
 /// fixpoint under empty assumptions — IS the program's well-founded
 /// model. A session that already holds that model (solved once, or kept
 /// current by incremental repair) passes it to SeedRoot and the engine
-/// copies it instead of re-deriving it; every deeper node still runs its
-/// own conditioned fixpoint. Running unseeded is the pinned ablation
-/// baseline (bench_search measures both). The seed must be THE
-/// well-founded model of the engine's program: Solver guarantees this by
-/// dropping its cached engine whenever the ground program mutates.
+/// copies it instead of re-deriving it. Running with the root unseeded is
+/// the pinned ablation baseline (bench_search measures both). The root
+/// seed must be THE well-founded model of the engine's program: Solver
+/// guarantees this by dropping its cached engine whenever the ground
+/// program mutates.
+///
+/// Every deeper node starts its alternating fixpoint from its parent's
+/// negative conclusions: Ĩ_0 = the parent's decided-false set instead of
+/// ∅. This is sound by a monotonicity lemma. A child conditions its
+/// parent's program Q on one atom b undefined in WFS(Q) — Q ∪ {b.} or Q
+/// minus b's rules — and in both cases WFS(Q) ≤ WFS(child) (induction over
+/// the W_P stages: b is in neither T_Q nor U_Q at any stage). The seeded
+/// iteration computes lfp(X ↦ A(X ∪ S)), which equals lfp(A) for every
+/// S ⊆ lfp(A), so each node's decided sets — hence its branch atom, the
+/// tree, and the models and their order — are exactly the unseeded ones.
+/// StableSearchStats::afp_calls is unchanged; EvalStats::sp_calls falls,
+/// because a child only derives what its one new assumption adds. The
+/// positive-closure ablation (wfs_propagation = false) seeds nothing.
 
 #include <chrono>
 #include <cstddef>
@@ -136,8 +150,11 @@ class ParallelStableSearch {
   /// One branch node. Assumption sets are node-owned plain bitsets,
   /// written at creation (under the tree mutex) and read only by the
   /// node's own expansion task; they are dropped as soon as the node
-  /// resolves. `model` exists only in state kLeafModel, until the
-  /// emission cursor moves it out.
+  /// resolves. `seed_false` is the parent's decided-false set (see the
+  /// seeding contract above), written with the assumptions and moved out
+  /// by the expansion task when it claims the node, so it lives only
+  /// while the node is pending. `model` exists only in state kLeafModel,
+  /// until the emission cursor moves it out.
   struct Node {
     enum class State : std::uint8_t {
       kPending,    // created, expansion not finished
@@ -154,6 +171,9 @@ class ParallelStableSearch {
     std::uint32_t children[2] = {0, 0};
     Bitset assumed_true;
     Bitset assumed_false;
+    /// Pooled scratch in transit between two workers' contexts; empty
+    /// (universe 0) at the root and under wfs_propagation = false.
+    Bitset seed_false;
     Bitset model;
   };
 
@@ -181,8 +201,10 @@ class ParallelStableSearch {
 
   ParallelSearchResult Run(const StableSearchControl& control,
                            bool count_only);
-  /// The work-unit body: condition + propagate + branch or leaf-check one
-  /// node, then record the outcome in the tree.
+  /// The work-unit body: condition + propagate (seeded from the parent's
+  /// decided-false set) + branch or leaf-check one node, then record the
+  /// outcome in the tree; an interior node hands its own decided-false set
+  /// to both children as their seed.
   void ExpandNode(WorkPool& pool, std::uint32_t id, std::uint32_t worker);
   /// Checks the run's cancellation token and deadline; cancels the pool
   /// and returns true when either fired.

@@ -106,6 +106,11 @@ void ConditionOnAssumptions(const RuleView& base, const Bitset& assumed_true,
 /// indexes, and the fixpoint working sets — cycles through one EvalContext
 /// owned by the search, so visiting a node allocates nothing once the
 /// context is warm.
+///
+/// Every node's fixpoint starts from Ĩ_0 = ∅, on purpose: this is the
+/// from-scratch oracle that the parallel engine (which seeds each node
+/// with its parent's decided-false set) is checked against, models,
+/// order and tree counters alike.
 class StableModelSearch {
  public:
   explicit StableModelSearch(const GroundProgram& gp,

@@ -110,13 +110,6 @@ class FlatIndex {
     ++size_;
   }
 
-  void Clear() {
-    hashes_.clear();
-    ids_.clear();
-    size_ = 0;
-    stats_ = FlatIndexStats{};
-  }
-
   /// Releases the slot arrays entirely (seal paths: dedupe is over and the
   /// index would otherwise idle at program-size footprint).
   void Release() {

@@ -115,19 +115,18 @@ TEST(FlatIndex, InsertUniqueRebuildMatchesFindOrInsert) {
   }
 }
 
-TEST(FlatIndex, ClearAndReleaseResetState) {
+TEST(FlatIndex, ReleaseResetsState) {
   Pool pool;
   for (std::uint32_t i = 0; i < 100; ++i) pool.Intern(i);
-  pool.index.Clear();
-  pool.keys.clear();
-  EXPECT_EQ(pool.index.size(), 0u);
-  EXPECT_EQ(pool.Find(5), FlatIndex::kNotFound);
-  EXPECT_EQ(pool.Intern(5), 0u);  // reusable after Clear
-
   pool.index.Release();
   EXPECT_EQ(pool.index.size(), 0u);
   EXPECT_EQ(pool.index.stats().capacity_bytes, 0u)
       << "Release must drop the slot arrays, not just forget the entries";
+
+  pool.keys.clear();
+  EXPECT_EQ(pool.Find(5), FlatIndex::kNotFound);
+  EXPECT_EQ(pool.Intern(5), 0u);  // reusable after Release
+  EXPECT_EQ(pool.Find(5), 0u);
 }
 
 TEST(FlatIndex, RandomizedDifferentialAgainstUnorderedMap) {

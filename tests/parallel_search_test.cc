@@ -148,6 +148,20 @@ TEST(ParallelSearch, MatchesSequentialOnRandomFamilies) {
   }
 }
 
+// Larger random programs: deeper trees, so most nodes are seeded from a
+// parent that itself was seeded, and the chain of inherited false sets is
+// checked against the unseeded sequential oracle node for node.
+TEST(ParallelSearch, MatchesSequentialOnLargerRandomFamilies) {
+  for (std::uint64_t seed = 0; seed < 17; ++seed) {
+    const int atoms = 24 + static_cast<int>(seed);  // 24..40
+    Program p = workload::RandomPropositional(
+        atoms, /*num_rules=*/atoms * 3 / 2, /*body_len=*/2,
+        /*neg_prob_percent=*/50, seed);
+    GroundProgram gp = MustGround(p);
+    ExpectMatchesSequential(gp, /*wfs_propagation=*/true);
+  }
+}
+
 TEST(ParallelSearch, MatchesSequentialOnCycleClusters) {
   Program p = workload::EvenCycleClusters(/*k=*/5, /*chain_len=*/6);
   GroundProgram gp = MustGround(p);
@@ -283,6 +297,38 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
   // Same tree, one fewer alternating fixpoint (the root's).
   EXPECT_EQ(r.search.nodes, base.search.nodes);
   EXPECT_EQ(r.search.afp_calls + 1, base.search.afp_calls);
+}
+
+// Receipt for per-node seeding: each non-root node starts from its
+// parent's negative conclusions, so it only derives what its one new
+// assumption adds. The clusters' alternating chains are decided at the
+// root and never re-derived below it: S_P work per node is independent of
+// the chain length and at most 4 (leaf stability checks included). An
+// engine that restarts every node from Ĩ_0 = ∅ pays about one S_P call
+// per chain link instead.
+TEST(ParallelSearch, SeededNodesDoNotRederiveTheirParentsConclusions) {
+  std::vector<std::size_t> sp_calls;
+  for (int chain_len : {6, 24}) {
+    Program p = workload::EvenCycleClusters(/*k=*/5, chain_len);
+    GroundProgram gp = MustGround(p);
+    AfpResult wfs = AlternatingFixpoint(gp);
+    for (int threads : {1, 4}) {
+      ParallelSearchOptions po;
+      po.num_threads = threads;
+      ParallelStableSearch par(gp, po);
+      par.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
+      ParallelSearchResult r = par.Enumerate();
+      ASSERT_EQ(r.models.size(), 32u);
+      // Every node but the seeded root ran one fixpoint.
+      ASSERT_EQ(r.search.afp_calls + 1, r.search.nodes);
+      EXPECT_LE(r.eval.sp_calls, 4 * r.search.afp_calls)
+          << "chain_len=" << chain_len << " threads=" << threads;
+      sp_calls.push_back(r.eval.sp_calls);
+    }
+  }
+  for (std::size_t calls : sp_calls) {
+    EXPECT_EQ(calls, sp_calls.front()) << "S_P work grew with chain length";
+  }
 }
 
 // --- Solver integration -------------------------------------------------

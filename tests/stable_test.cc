@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/alternating.h"
 #include "ground/grounder.h"
@@ -212,6 +214,82 @@ TEST(StableModels, StableModelsAreFixpointsOfAp) {
       EXPECT_EQ(a_p, neg) << "seed " << seed;
     }
   }
+}
+
+// The well-founded model of `gp` conditioned on an assumption pair, by the
+// alternating fixpoint from Ĩ_0 = seed_negatives (default: no seed).
+PartialModel ConditionedWfs(const GroundProgram& gp, const Bitset& assumed_true,
+                            const Bitset& assumed_false,
+                            const Bitset& seed_negatives = Bitset()) {
+  OwnedRules conditioned;
+  ConditionOnAssumptions(gp.View(), assumed_true, assumed_false,
+                         /*delete_false_heads=*/true, &conditioned);
+  HornSolver solver(conditioned.View());
+  return AlternatingFixpointWithSolver(solver, seed_negatives, {}).model;
+}
+
+// The lemma behind ParallelStableSearch's per-node seeding: conditioning a
+// program Q on one atom b undefined in WFS(Q) — b assumed true (b becomes
+// a fact) or assumed false (b's rules are deleted) — only grows the
+// well-founded model, so the parent's decided-false set underestimates
+// the child's. Checked with the unseeded alternating fixpoint alone, for
+// every undefined b, at the root and one level down (Q itself conditioned
+// on its first undefined atom, the engine's own branch choice).
+TEST(StableModels, ConditioningOnAnUndefinedAtomOnlyGrowsTheWellFoundedModel) {
+  std::size_t children_checked = 0;
+  for (std::uint64_t seed = 0; seed < 68; ++seed) {
+    const int atoms = 8 + static_cast<int>(seed % 17);  // 8..24
+    Program p = workload::RandomPropositional(
+        atoms, /*num_rules=*/atoms * 2, /*body_len=*/2,
+        /*neg_prob_percent=*/50, seed);
+    GroundProgram gp = MustGround(p);
+    const std::size_t n = gp.num_atoms();
+
+    // Parents: the root and, when it has one, both children of its first
+    // undefined atom.
+    std::vector<std::pair<Bitset, Bitset>> parents = {{Bitset(n), Bitset(n)}};
+    const PartialModel root = ConditionedWfs(gp, Bitset(n), Bitset(n));
+    for (std::size_t a = 0; a < n; ++a) {
+      if (root.Value(static_cast<AtomId>(a)) == TruthValue::kUndefined) {
+        parents.push_back(parents.front());
+        parents.back().second.Set(a);  // a assumed false
+        parents.push_back(parents.front());
+        parents.back().first.Set(a);  // a assumed true
+        break;
+      }
+    }
+
+    for (const auto& [t, f] : parents) {
+      const PartialModel q = ConditionedWfs(gp, t, f);
+      for (std::size_t b = 0; b < n; ++b) {
+        if (q.Value(static_cast<AtomId>(b)) != TruthValue::kUndefined) {
+          continue;
+        }
+        for (const bool assume_true : {false, true}) {
+          Bitset ct = t;
+          Bitset cf = f;
+          (assume_true ? ct : cf).Set(b);
+          const PartialModel child = ConditionedWfs(gp, ct, cf);
+          EXPECT_TRUE(q.true_atoms().IsSubsetOf(child.true_atoms()))
+              << "seed " << seed << " b=" << b << " true=" << assume_true;
+          EXPECT_TRUE(q.false_atoms().IsSubsetOf(child.false_atoms()))
+              << "seed " << seed << " b=" << b << " true=" << assume_true;
+          EXPECT_EQ(child.Value(static_cast<AtomId>(b)),
+                    assume_true ? TruthValue::kTrue : TruthValue::kFalse);
+          // And the consequence the engine relies on: the fixpoint seeded
+          // with the parent's false set lands on the same model.
+          const PartialModel seeded =
+              ConditionedWfs(gp, ct, cf, q.false_atoms());
+          EXPECT_EQ(seeded.true_atoms(), child.true_atoms())
+              << "seed " << seed << " b=" << b;
+          EXPECT_EQ(seeded.false_atoms(), child.false_atoms())
+              << "seed " << seed << " b=" << b;
+          ++children_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(children_checked, 1000u) << "too few undefined atoms exercised";
 }
 
 TEST(StableModels, BruteForceGuardsUniverseSize) {
