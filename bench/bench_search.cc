@@ -9,11 +9,15 @@
 // Like bench_scale this binary is self-timed and prints a native JSON
 // report on stdout. Each (workload, threads, variant) config is repeated
 // kRepetitions times, every repetition in its own forked child so
-// allocator and registry state never leak between timings; a child runs
-// the engine once to warm its pools and times a second run (enumeration
-// is deterministic, so both runs do identical work). A row records the
-// median of the repetitions as `wall_ms` (the figure the checker reads),
-// the fastest as `wall_ms_min`, and `spread` = (max - min) / median.
+// allocator and registry state never leak between timings; the
+// repetitions of one workload run in rounds over all its configs, so a
+// slow spell of a shared host hits every thread count alike. A child runs
+// the engine once to warm its pools, then times kTimedRuns further runs
+// and reports their median (enumeration is deterministic, so every run
+// does identical work, and one enumeration takes only milliseconds). A
+// row records the median of the repetitions as `wall_ms` (the figure the
+// checker reads), the fastest as `wall_ms_min`, and `spread` =
+// (max - min) / median, all over the per-fork medians.
 //
 // Every row carries the model count, the node count, the S_P evaluations
 // of the whole enumeration (`sp_calls`, leaf stability checks included),
@@ -72,6 +76,9 @@ constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 /// Forked repetitions per config; the row reports their median.
 constexpr int kRepetitions = 5;
+/// Timed enumerations per forked repetition; the fork reports their
+/// median, so one descheduled enumeration cannot move a row.
+constexpr int kTimedRuns = 41;
 
 double Ms(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -121,11 +128,18 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
     engine.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
   }
 
-  // A warm-up run, then the timed one on the warm engine.
+  // A warm-up run, then the timed ones on the warm engine.
   engine.Enumerate();
-  const auto t0 = Clock::now();
-  afp::ParallelSearchResult result = engine.Enumerate();
-  const double wall_ms = Ms(t0, Clock::now());
+  afp::ParallelSearchResult result;
+  std::vector<double> times;
+  for (int run = 0; run < kTimedRuns; ++run) {
+    result = afp::ParallelSearchResult();  // frees the last run's models
+    const auto t0 = Clock::now();
+    result = engine.Enumerate();
+    times.push_back(Ms(t0, Clock::now()));
+  }
+  std::sort(times.begin(), times.end());
+  const double wall_ms = times[times.size() / 2];
 
   const afp::StableSearchStats& s = result.search;
   char buf[512];
@@ -188,23 +202,19 @@ std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
   return row;
 }
 
-/// Runs kRepetitions forked repetitions of one config and returns its JSON
-/// row: the timing summary plus the counters of the median repetition
-/// (the enumeration counters are identical in every repetition; steals and
-/// idle waits are not). Returns "" if any repetition failed.
-std::string RunRepeated(const Config& cfg, int threads, bool seeded) {
-  struct Sample {
-    double wall_ms;
-    std::string fields;
-  };
-  std::vector<Sample> samples;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    const std::string out = RunConfigForked(cfg, threads, seeded);
-    char* end = nullptr;
-    const double ms = std::strtod(out.c_str(), &end);
-    if (out.empty() || end == out.c_str()) return {};
-    samples.push_back({ms, std::string(end + 1)});
-  }
+/// One forked repetition's result: its median wall time and the JSON
+/// counter fields.
+struct Sample {
+  double wall_ms;
+  std::string fields;
+};
+
+/// The JSON row of one config from its kRepetitions samples: the timing
+/// summary plus the counters of the median repetition (the enumeration
+/// counters are identical in every repetition; steals and idle waits are
+/// not).
+std::string Summarize(const Config& cfg, int threads, bool seeded,
+                      std::vector<Sample> samples) {
   std::sort(samples.begin(), samples.end(),
             [](const Sample& a, const Sample& b) {
               return a.wall_ms < b.wall_ms;
@@ -219,35 +229,50 @@ std::string RunRepeated(const Config& cfg, int threads, bool seeded) {
                 "{\"workload\": \"%s\", \"threads\": %d, "
                 "\"variant\": \"%s\", \"wall_ms\": %.2f, "
                 "\"wall_ms_min\": %.2f, \"spread\": %.3f, "
-                "\"repetitions\": %d, ",
+                "\"repetitions\": %d, \"timed_runs\": %d, ",
                 cfg.workload, threads, seeded ? "seeded" : "unseeded",
                 median.wall_ms, samples.front().wall_ms, spread,
-                kRepetitions);
+                kRepetitions, kTimedRuns);
   return buf + median.fields + "}";
 }
 
 }  // namespace
 
 int main() {
+  // Per workload: the unseeded thread counts, then the seeded-root info
+  // row (the Solver warm path) at 1 thread.
+  struct Variant {
+    int threads;
+    bool seeded;
+  };
+  std::vector<Variant> variants;
+  for (int threads : kThreadCounts) variants.push_back({threads, false});
+  variants.push_back({1, true});
+
   std::vector<std::string> rows;
   for (const Config& cfg : kConfigs) {
-    for (int threads : kThreadCounts) {
-      std::string row = RunRepeated(cfg, threads, /*seeded=*/false);
-      if (row.empty()) {
-        std::fprintf(stderr, "bench_search: config %s/%d failed\n",
-                     cfg.workload, threads);
-        return 1;
+    // Repetitions run in rounds over every variant, so a slow spell of a
+    // shared host lands on all thread counts alike rather than on one.
+    std::vector<std::vector<Sample>> samples(variants.size());
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        const std::string out =
+            RunConfigForked(cfg, variants[v].threads, variants[v].seeded);
+        char* end = nullptr;
+        const double ms = std::strtod(out.c_str(), &end);
+        if (out.empty() || end == out.c_str()) {
+          std::fprintf(stderr, "bench_search: config %s/%d%s failed\n",
+                       cfg.workload, variants[v].threads,
+                       variants[v].seeded ? " seeded" : "");
+          return 1;
+        }
+        samples[v].push_back({ms, std::string(end + 1)});
       }
-      rows.push_back(std::move(row));
     }
-    // Seeded-root info row (the Solver warm path) at 1 thread.
-    std::string row = RunRepeated(cfg, 1, /*seeded=*/true);
-    if (row.empty()) {
-      std::fprintf(stderr, "bench_search: config %s seeded failed\n",
-                   cfg.workload);
-      return 1;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      rows.push_back(Summarize(cfg, variants[v].threads, variants[v].seeded,
+                               std::move(samples[v])));
     }
-    rows.push_back(std::move(row));
   }
 
   std::printf("{\n");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 #include "util/span_hash.h"
 
@@ -110,21 +112,34 @@ void AppendSymbol(std::string& out, std::string_view name) {
 }
 
 std::string TermTable::ToString(TermId t, const Interner& symbols) const {
-  const Node& n = nodes_[t];
+  // Depth first over an explicit stack of (compound, next argument)
+  // frames, appending to one string: a term's nesting depth is bounded by
+  // memory, not by the call stack.
   std::string out;
-  if (n.kind == TermKind::kVariable) {
-    out = symbols.Name(n.symbol);
-  } else {
-    AppendSymbol(out, symbols.Name(n.symbol));
-  }
-  if (n.kind == TermKind::kCompound) {
-    out += '(';
-    auto as = args(t);
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      if (i > 0) out += ',';
-      out += ToString(as[i], symbols);
+  std::vector<std::pair<TermId, std::uint32_t>> open;
+  auto name = [&](TermId id) {
+    const Node& n = nodes_[id];
+    if (n.kind == TermKind::kVariable) {
+      out += symbols.Name(n.symbol);
+    } else {
+      AppendSymbol(out, symbols.Name(n.symbol));
     }
-    out += ')';
+    if (n.kind == TermKind::kCompound) {
+      out += '(';
+      open.emplace_back(id, 0);
+    }
+  };
+  name(t);
+  while (!open.empty()) {
+    const Node& n = nodes_[open.back().first];
+    const std::uint32_t i = open.back().second++;
+    if (i == n.args_len) {
+      out += ')';
+      open.pop_back();
+      continue;
+    }
+    if (i > 0) out += ',';
+    name(args_[n.args_offset + i]);
   }
   return out;
 }

@@ -142,6 +142,10 @@ void SpEvaluator::Eval(const Bitset& assumed_false, Bitset* out) {
   assert(assumed_false.universe_size() == solver_->view().num_atoms);
   assert(out != &assumed_false);
   ++ctx_.stats().sp_calls;
+  if (masked_) {
+    EvalMasked(assumed_false, out);
+    return;
+  }
   if (horn_mode_ == HornMode::kNaive) {
     // Ablation baseline: textbook T_P iteration, no incremental state.
     ctx_.stats().rules_rescanned += solver_->view().rules.size();
@@ -214,6 +218,7 @@ void SpEvaluator::Propagate(Bitset* out) {
   const RuleView& view = solver_->view();
   out->Resize(view.num_atoms);
   remaining_.resize(view.rules.size());
+  remaining_clean_ = false;
   queue_.clear();
 
   for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
@@ -229,6 +234,11 @@ void SpEvaluator::Propagate(Bitset* out) {
     }
   }
 
+  Drain(out);
+}
+
+void SpEvaluator::Drain(Bitset* out) {
+  const RuleView& view = solver_->view();
   const std::vector<std::uint32_t>& off = solver_->pos_occ_offsets();
   const std::vector<std::uint32_t>& occ = solver_->pos_occ_rules();
   while (!queue_.empty()) {
@@ -243,6 +253,99 @@ void SpEvaluator::Propagate(Bitset* out) {
           out->Set(h);
           queue_.push_back(h);
         }
+      }
+    }
+  }
+}
+
+void SpEvaluator::EvalMasked(const Bitset& assumed_false, Bitset* out) {
+  if (horn_mode_ == HornMode::kNaive) {
+    ctx_.stats().rules_rescanned += mask_.rules.size();
+    NaiveMasked(assumed_false, out);
+    return;
+  }
+  if (mode_ == SpMode::kScratch || !primed_) {
+    PrimeMasked(assumed_false);
+  } else {
+    // The full negative-occurrence index also reaches rules outside the
+    // mask; their counters drift, unread, until a prime covers them.
+    ApplyDelta(assumed_false);
+  }
+  PropagateMasked(out);
+}
+
+void SpEvaluator::PrimeMasked(const Bitset& assumed_false) {
+  const RuleView& view = solver_->view();
+  neg_missing_.resize(view.rules.size());
+  if (assumed_false.None()) {
+    for (std::uint32_t ri : mask_.rules) {
+      neg_missing_[ri] = view.rules[ri].neg_len;
+    }
+  } else {
+    for (std::uint32_t ri : mask_.rules) {
+      std::uint32_t missing = 0;
+      for (AtomId a : view.neg(view.rules[ri])) {
+        if (!assumed_false.Test(a)) ++missing;
+      }
+      neg_missing_[ri] = missing;
+    }
+    ctx_.stats().rules_rescanned += mask_.rules.size();
+  }
+  if (mode_ == SpMode::kDelta) {
+    last_false_ = assumed_false;
+    primed_ = true;
+  }
+}
+
+void SpEvaluator::PropagateMasked(Bitset* out) {
+  const RuleView& view = solver_->view();
+  const Bitset& given = *mask_.given;
+  if (!remaining_clean_ || remaining_.size() != view.rules.size()) {
+    remaining_.assign(view.rules.size(), UINT32_MAX);
+    remaining_clean_ = true;
+  }
+  out->Resize(view.num_atoms);
+  *out |= given;
+  queue_.clear();
+  if (mask_.fact != kInvalidAtom && !out->Test(mask_.fact)) {
+    out->Set(mask_.fact);
+    queue_.push_back(mask_.fact);
+  }
+  for (std::uint32_t ri : mask_.rules) {
+    if (neg_missing_[ri] != 0) continue;
+    const GroundRule& r = view.rules[ri];
+    // Given atoms are true before propagation starts and never queued, so
+    // the countdown covers only the body atoms still to be derived.
+    std::uint32_t open = 0;
+    for (AtomId a : view.pos(r)) {
+      if (!given.Test(a)) ++open;
+    }
+    remaining_[ri] = open;
+    if (open == 0 && !out->Test(r.head)) {
+      out->Set(r.head);
+      queue_.push_back(r.head);
+    }
+  }
+  Drain(out);
+  for (std::uint32_t ri : mask_.rules) remaining_[ri] = UINT32_MAX;
+}
+
+void SpEvaluator::NaiveMasked(const Bitset& assumed_false, Bitset* out) const {
+  const RuleView& view = solver_->view();
+  out->Resize(view.num_atoms);
+  *out |= *mask_.given;
+  if (mask_.fact != kInvalidAtom) out->Set(mask_.fact);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::uint32_t ri : mask_.rules) {
+      const GroundRule& r = view.rules[ri];
+      if (out->Test(r.head)) continue;
+      bool fires = true;
+      for (AtomId a : view.pos(r)) fires = fires && out->Test(a);
+      for (AtomId a : view.neg(r)) fires = fires && assumed_false.Test(a);
+      if (fires) {
+        out->Set(r.head);
+        changed = true;
       }
     }
   }

@@ -37,6 +37,24 @@ TEST(TermTable, GroundnessAndDepth) {
   EXPECT_EQ(t.Depth(ffx), 2u);
 }
 
+// Rendering walks the term with an explicit stack, so nesting far deeper
+// than any call stack allows renders in full: s(s(...s(z)...)).
+TEST(TermTable, DeeplyNestedTermRendersIteratively) {
+  Program p;
+  constexpr std::size_t kDepth = 1000000;
+  const SymbolId s = p.symbols().Intern("s");
+  TermId t = p.Const("z");
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const TermId arg[] = {t};
+    t = p.terms().MakeCompound(s, arg);
+  }
+  const std::string text = p.terms().ToString(t, p.symbols());
+  ASSERT_EQ(text.size(), 3 * kDepth + 1);
+  EXPECT_EQ(text.substr(0, 6), "s(s(s(");
+  EXPECT_EQ(text.substr(2 * kDepth - 2, 5), "s(z))");
+  EXPECT_EQ(text.back(), ')');
+}
+
 TEST(TermTable, SubstituteSharesUnchangedSubterms) {
   Program p;
   TermId x = p.Var("X");

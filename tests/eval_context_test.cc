@@ -29,6 +29,7 @@
 #include "core/residual.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
+#include "ground/owned_rules.h"
 #include "stable/backtracking.h"
 #include "stable/enumerate.h"
 #include "wfs/unfounded.h"
@@ -243,6 +244,82 @@ TEST(SpEvaluatorDifferential, MatchesReferenceOnRandomSequences) {
       sp.Eval(assumed, &out);
       EXPECT_EQ(out, solver.EventualConsequences(assumed))
           << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// A masked evaluation (SpMask: a rule subset, given atoms, one extra fact)
+// equals the reference solver on the rewritten program it stands for, in
+// every mode, across masks swapped mid-stream and unmasked calls in
+// between — the evaluator's per-rule state outside a mask must never
+// leak into a result.
+TEST(SpEvaluatorDifferential, MaskedEvalMatchesRewrittenProgram) {
+  EvalContext ctx;
+  for (std::uint64_t seed = 70; seed < 82; ++seed) {
+    Program p = workload::RandomPropositional(16, 32, 3, 50, seed);
+    auto ground = Grounder::Ground(p);
+    ASSERT_TRUE(ground.ok());
+    const RuleView view = ground->View();
+    const std::size_t n = view.num_atoms;
+    if (n == 0) continue;
+    HornSolver solver(view, &ctx);
+    SpEvaluator delta(solver, ctx, SpMode::kDelta);
+    SpEvaluator scratch(solver, ctx, SpMode::kScratch);
+    SpEvaluator naive(solver, ctx, SpMode::kScratch, HornMode::kNaive);
+
+    std::uint64_t rng = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    auto next = [&rng] {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      return rng >> 33;
+    };
+    Bitset assumed(n);
+    Bitset out;
+    for (int mask_round = 0; mask_round < 6; ++mask_round) {
+      std::vector<std::uint32_t> rules;
+      for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
+        if (next() % 3 != 0) rules.push_back(ri);
+      }
+      Bitset given(n);
+      for (std::size_t a = 0; a < n; ++a) {
+        if (next() % 5 == 0) given.Set(a);
+      }
+      SpMask mask;
+      mask.rules = rules;
+      mask.given = &given;
+      mask.fact = mask_round % 2 == 0 ? static_cast<AtomId>(next() % n)
+                                      : kInvalidAtom;
+      OwnedRules rewritten;
+      rewritten.num_atoms = n;
+      for (std::uint32_t ri : rules) {
+        const GroundRule& r = view.rules[ri];
+        rewritten.Add(r.head, view.pos(r), view.neg(r));
+      }
+      given.ForEach(
+          [&](std::size_t a) { rewritten.Add(static_cast<AtomId>(a), {}, {}); });
+      if (mask.fact != kInvalidAtom) rewritten.Add(mask.fact, {}, {});
+      HornSolver reference(rewritten.View());
+
+      for (SpEvaluator* sp : {&delta, &scratch, &naive}) sp->SetMask(mask);
+      for (int step = 0; step < 8; ++step) {
+        for (int f = 0; f < 3; ++f) {
+          const std::size_t a = next() % n;
+          if (assumed.Test(a)) {
+            assumed.Reset(a);
+          } else {
+            assumed.Set(a);
+          }
+        }
+        const Bitset expected = reference.EventualConsequences(assumed);
+        for (SpEvaluator* sp : {&delta, &scratch, &naive}) {
+          sp->Eval(assumed, &out);
+          EXPECT_EQ(out, expected) << "seed " << seed << " mask "
+                                   << mask_round << " step " << step;
+        }
+      }
+      // An unmasked call in between: the full program again.
+      delta.ClearMask();
+      delta.Eval(assumed, &out);
+      EXPECT_EQ(out, solver.EventualConsequences(assumed)) << "seed " << seed;
     }
   }
 }

@@ -228,13 +228,18 @@ PartialModel ConditionedWfs(const GroundProgram& gp, const Bitset& assumed_true,
   return AlternatingFixpointWithSolver(solver, seed_negatives, {}).model;
 }
 
-// The lemma behind ParallelStableSearch's per-node seeding: conditioning a
-// program Q on one atom b undefined in WFS(Q) — b assumed true (b becomes
-// a fact) or assumed false (b's rules are deleted) — only grows the
-// well-founded model, so the parent's decided-false set underestimates
-// the child's. Checked with the unseeded alternating fixpoint alone, for
-// every undefined b, at the root and one level down (Q itself conditioned
-// on its first undefined atom, the engine's own branch choice).
+// The lemma behind ParallelStableSearch's node representation:
+// conditioning a program Q on one atom b undefined in WFS(Q) — b assumed
+// true (b becomes a fact) or assumed false (b's rules are deleted) — only
+// grows the well-founded model, so the parent's decided sets
+// underestimate the child's. Checked with the unseeded alternating
+// fixpoint alone, for every undefined b, at the root and one level down
+// (Q itself conditioned on its first undefined atom, the engine's own
+// branch choice). Two consequences the engine relies on are checked too:
+// the fixpoint seeded with the parent's false set lands on the same
+// model, and so does conditioning on the parent's whole decided sets plus
+// the branch literal — the child inherits the parent's model, true set
+// included, in place of its assumptions.
 TEST(StableModels, ConditioningOnAnUndefinedAtomOnlyGrowsTheWellFoundedModel) {
   std::size_t children_checked = 0;
   for (std::uint64_t seed = 0; seed < 68; ++seed) {
@@ -283,6 +288,15 @@ TEST(StableModels, ConditioningOnAnUndefinedAtomOnlyGrowsTheWellFoundedModel) {
           EXPECT_EQ(seeded.true_atoms(), child.true_atoms())
               << "seed " << seed << " b=" << b;
           EXPECT_EQ(seeded.false_atoms(), child.false_atoms())
+              << "seed " << seed << " b=" << b;
+          Bitset inherited_true = q.true_atoms();
+          Bitset inherited_false = q.false_atoms();
+          (assume_true ? inherited_true : inherited_false).Set(b);
+          const PartialModel inherited =
+              ConditionedWfs(gp, inherited_true, inherited_false);
+          EXPECT_EQ(inherited.true_atoms(), child.true_atoms())
+              << "seed " << seed << " b=" << b;
+          EXPECT_EQ(inherited.false_atoms(), child.false_atoms())
               << "seed " << seed << " b=" << b;
           ++children_checked;
         }

@@ -556,6 +556,8 @@ int main(int argc, char** argv) {
                 << "  implied atoms: " << r.search.implied_atoms
                 << "  candidates checked: " << r.search.stable_checks
                 << "\n";
+      std::cout << "% residual rules: " << r.search.residual_rules
+                << "  inline nodes: " << r.search.inline_nodes << "\n";
       std::cout << "% search workers: " << r.search.num_workers
                 << "  steals: " << r.search.steals
                 << "  idle waits: " << r.search.idle_waits
