@@ -251,8 +251,8 @@ WorkPoolStats RunWorkPool(
     return stats;
   }
 
-  auto worker = [&pool, &task, &stats](std::uint32_t me) {
-    std::unique_lock<std::mutex> lock(pool.mu_);
+  auto worker = [&pool, &task, &stats](std::uint32_t me,
+                                       std::unique_lock<std::mutex> lock) {
     while (true) {
       while (pool.deque_.empty() && pool.in_flight_ > 0 &&
              !pool.cancelled_.load(std::memory_order_relaxed)) {
@@ -288,11 +288,19 @@ WorkPoolStats RunWorkPool(
     }
   };
 
+  // The calling thread is worker 0 and holds the lock while the others
+  // spawn, so it claims the first item at once instead of waiting for a
+  // thread to start.
+  std::unique_lock<std::mutex> lock(pool.mu_);
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
-    threads.emplace_back(worker, static_cast<std::uint32_t>(w));
+  threads.reserve(static_cast<std::size_t>(num_workers - 1));
+  for (int w = 1; w < num_workers; ++w) {
+    threads.emplace_back([&worker, &pool, w] {
+      worker(static_cast<std::uint32_t>(w),
+             std::unique_lock<std::mutex>(pool.mu_));
+    });
   }
+  worker(0, std::move(lock));
   for (std::thread& t : threads) t.join();
   return stats;
 }

@@ -133,7 +133,9 @@ class WorkPool;
 /// per-thread state (an EvalContextRegistry slot) by worker index without
 /// locking; SchedulerOptions::num_threads <= 1 runs everything inline on
 /// the calling thread as worker 0 — the exact order a one-worker pool
-/// would use, with no threads spawned. Tasks must not throw.
+/// would use, with no threads spawned. With more workers the calling
+/// thread is still worker 0, and it claims the last root before the
+/// others start. Tasks must not throw.
 ///
 /// Determinism contract: the pool guarantees nothing about execution
 /// order across workers (LIFO claiming is a locality heuristic, not a
